@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import ops, tensor
-from .graph import ModuleGraph, parameterized_layers
+from .graph import LayerSpec, ModuleGraph, parameterized_layers
 from .ops import BatchNormParams, Conv3DSpec, MacCounter, PoolSpec
 from .tensor import Shape5, Tensor5D
 
@@ -124,13 +123,6 @@ def channel_shuffle_backward(gout: np.ndarray, groups: int, channels: int) -> np
     return ops.channel_shuffle(g, channels // groups).data.astype(np.float64)
 
 
-def softmax_backward(y: Tensor5D, gout: np.ndarray) -> np.ndarray:
-    g = np.asarray(gout, dtype=np.float64).reshape(y.data.shape)
-    yd = y.data.astype(np.float64)
-    dot = (g * yd).sum(axis=1, keepdims=True)
-    return yd * (g - dot)
-
-
 def softmax_xent(logits: np.ndarray, label: int) -> tuple[float, np.ndarray]:
     """Fused softmax + cross-entropy on one logit vector: loss and gradient."""
     z = np.asarray(logits, dtype=np.float64)
@@ -207,66 +199,49 @@ def save_weights(path, g: ModuleGraph, p: NetworkParams) -> None:
     with open(path, "wb") as f:
         for layer in parameterized_layers(g):
             if layer.kind == "conv":
-                rec = tensor.from_array(p.conv[layer.id].value)
+                rec = p.conv[layer.id].value
             else:
                 s = p.bn[layer.id]
-                rec = tensor.from_array(
-                    np.stack(
-                        [s.gamma.value, s.beta.value, s.mean, s.var]
-                    ).reshape(4, layer.params, 1, 1, 1)
-                )
-            f.write(tensor.MAGIC)
-            f.write(bytes([tensor.FORMAT_VERSION]))
-            f.write(struct.pack("<5Q", *rec.shape))
-            f.write(np.ascontiguousarray(rec.data, dtype="<f4").tobytes())
+                rec = np.stack([s.gamma.value, s.beta.value, s.mean, s.var])
+            tensor.write_record(f, tensor.from_array(rec.reshape(_record_shape(layer))))
 
 
 def load_weights(path, g: ModuleGraph) -> NetworkParams:
     """Read a weight file back, validating every record against the graph;
-    errors name the first offending layer."""
+    errors name the file and the first offending layer."""
     p = NetworkParams()
     with open(path, "rb") as f:
         for layer in parameterized_layers(g):
-            head = f.read(5)
-            if len(head) < 5 or head[:4] != tensor.MAGIC:
-                raise ValueError(f"weight file ends before layer {layer.id!r}")
-            dims = struct.unpack("<5Q", f.read(40))
-            count = int(np.prod([int(d) for d in dims], dtype=np.int64))
-            buf = f.read(4 * count)
-            if len(buf) != 4 * count:
-                raise ValueError(f"truncated weight record for layer {layer.id!r}")
-            data = np.frombuffer(buf, dtype="<f4").reshape(dims).astype(np.float32)
+            label = f"{path}: layer {layer.id!r}"
+            data = tensor.read_record(f, label).data
+            if data.shape != _record_shape(layer):
+                raise ValueError(
+                    f"{label}: {layer.kind} record {data.shape} "
+                    f"!= expected {_record_shape(layer)}"
+                )
             if layer.kind == "conv":
-                if tuple(dims) != layer.params.weight_shape:
-                    raise ValueError(
-                        f"layer {layer.id!r}: weight record {tuple(dims)} "
-                        f"!= expected {layer.params.weight_shape}"
-                    )
                 p.conv[layer.id] = Parameter.of(data)
             else:
-                if tuple(dims) != (4, layer.params, 1, 1, 1):
-                    raise ValueError(
-                        f"layer {layer.id!r}: bn record {tuple(dims)} "
-                        f"!= expected {(4, layer.params, 1, 1, 1)}"
-                    )
                 rows = data.reshape(4, layer.params)
                 p.bn[layer.id] = BnState(
                     Parameter.of(rows[0]), Parameter.of(rows[1]),
                     rows[2].copy(), rows[3].copy(),
                 )
         if f.read(1):
-            raise ValueError("weight file has trailing records beyond the manifest")
+            raise ValueError(f"{path}: trailing records beyond the manifest")
     return p
 
 
+def _record_shape(layer: LayerSpec) -> tuple[int, ...]:
+    if layer.kind == "conv":
+        return layer.params.weight_shape
+    return (4, layer.params, 1, 1, 1)
+
+
 def _resolve(acts: dict[str, Tensor5D], g: ModuleGraph, ref: str) -> Tensor5D:
-    base = ref.split(":")[0]
+    base, channels = g.port(ref)
     x = acts[base]
-    if ":" in ref:
-        sizes = g.layer(base).params.sizes
-        k = int(ref.split(":")[1])
-        return tensor.split_channels(x, list(sizes))[k]
-    return x
+    return x if channels == slice(None) else Tensor5D(x.data[:, channels])
 
 
 def calibrate_init(g: ModuleGraph, p: NetworkParams, x: Tensor5D) -> None:
@@ -375,17 +350,10 @@ def backward(
     grads: dict[str, np.ndarray] = {}
 
     def add_to(ref: str, val: np.ndarray):
-        base = ref.split(":")[0]
-        src = acts[base]
+        base, channels = g.port(ref)
         if base not in grads:
-            grads[base] = np.zeros(tuple(src.shape), dtype=np.float64)
-        if ":" in ref:
-            sizes = g.layer(base).params.sizes
-            k = int(ref.split(":")[1])
-            start = sum(sizes[:k])
-            grads[base][:, start : start + sizes[k]] += val
-        else:
-            grads[base] += val
+            grads[base] = np.zeros(tuple(acts[base].shape), dtype=np.float64)
+        grads[base][:, channels] += val
 
     add_to(logits_ref, seed)
     for layer in reversed(g.layers):
@@ -417,8 +385,6 @@ def backward(
                 c = _resolve(acts, g, ref).c
                 add_to(ref, gout[:, start : start + c])
                 start += c
-        elif layer.kind == "softmax":
-            add_to(layer.inputs[0], softmax_backward(acts[layer.id], gout))
     return loss
 
 

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import os
 import statistics
 import sys
 import time
@@ -29,13 +28,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         sys.exit(EXIT_USAGE)
-
-
-def worker_count() -> int:
-    cap = os.environ.get("LW3D_THREADS")
-    if cap:
-        return max(1, int(cap))
-    return os.cpu_count() or 1
 
 
 def _input_shape(text: str) -> Shape5:

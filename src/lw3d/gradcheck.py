@@ -45,8 +45,7 @@ def _rand_x(rng, shape) -> np.ndarray:
 
 
 def _check_conv(rng, groups: int) -> float:
-    cin = 4 if groups == 1 else 4
-    cout = 6 if groups == 1 else 6
+    cin, cout = 4, 6
     spec = Conv3DSpec(cin, cout, (3, 1, 3), (1, 1, 1), (1, 0, 1), groups)
     x = _rand_x(rng, (2, cin, 3, 4, 4))
     w = _rand_x(rng, spec.weight_shape)
@@ -93,9 +92,7 @@ def _check_relu(rng) -> float:
     proj = _rand_x(rng, x.shape)
 
     def loss(xv):
-        import numpy as _np
-
-        return float((_np.maximum(xv, 0.0) * proj).sum())
+        return float((np.maximum(xv, 0.0) * proj).sum())
 
     gx = autodiff.relu_backward(Tensor5D(x.astype(np.float32)), proj)
     return relative_error(gx, numeric_grad(loss, x))

@@ -96,24 +96,38 @@ class ModuleGraph:
             if layer.id in self._by_id:
                 raise ValueError(f"duplicate layer id {layer.id!r}")
             for ref in layer.inputs:
-                if _base_id(ref) not in self._by_id:
-                    raise ValueError(
-                        f"layer {layer.id!r} references {ref!r} before definition"
-                    )
+                try:
+                    self.port(ref)
+                except ValueError as e:
+                    raise ValueError(f"layer {layer.id!r}: {e}") from None
             if layer.kind != "input" and not layer.inputs:
                 raise ValueError(f"layer {layer.id!r} has no predecessor")
+            if layer.kind == "softmax" and layer is not self.layers[-1]:
+                raise ValueError(f"softmax layer {layer.id!r} is not the last layer")
             self._by_id[layer.id] = layer
 
     def layer(self, layer_id: str) -> LayerSpec:
         return self._by_id[layer_id]
 
+    def port(self, ref: str) -> tuple[str, slice]:
+        """Base layer id and channel slice of an input reference: ``"id"``
+        takes every channel of layer ``id``, ``"id:k"`` takes the k-th part
+        of split layer ``id``."""
+        base, sep, k = ref.partition(":")
+        layer = self._by_id.get(base)
+        if layer is None:
+            raise ValueError(f"reference {ref!r} before definition")
+        if not sep:
+            return base, slice(None)
+        sizes = layer.params.sizes if layer.kind == "split" else ()
+        if not k.isdigit() or int(k) >= len(sizes):
+            raise ValueError(f"reference {ref!r} names no port of layer {base!r}")
+        start = sum(sizes[: int(k)])
+        return base, slice(start, start + sizes[int(k)])
+
     @property
     def output_id(self) -> str:
         return self.layers[-1].id
-
-
-def _base_id(ref: str) -> str:
-    return ref.split(":")[0]
 
 
 def allocate_groups(
@@ -432,7 +446,7 @@ def build_network(
     # final average pool: canonical kernel 2x7x7, clamped to the actual
     # feature-map extent so small toy inputs stay valid
     graph_so_far = ModuleGraph(list(b.layers), arch, input_shape, notes=b.notes)
-    feat = infer_shapes(graph_so_far)[_base_id(cur)]
+    feat = infer_shapes(graph_so_far)[cur]
     avg_kernel = (min(2, feat.t), min(7, feat.h), min(7, feat.w))
     cur = b.add(
         LayerSpec("avgp", "pool", PoolSpec("avg", avg_kernel), [cur], "avgp")
@@ -452,15 +466,9 @@ def infer_shapes(g: ModuleGraph, input_shape: Shape5 | None = None) -> dict[str,
     shapes: dict[str, Shape5] = {}
 
     def shape_of(ref: str) -> Shape5:
-        base = _base_id(ref)
+        base, channels = g.port(ref)
         s = shapes[base]
-        if ":" in ref:
-            layer = g.layer(base)
-            if layer.kind != "split":
-                raise ValueError(f"port reference {ref!r} into non-split layer")
-            k = int(ref.split(":")[1])
-            return Shape5(s.n, layer.params.sizes[k], s.t, s.h, s.w)
-        return s
+        return s._replace(c=len(range(s.c)[channels]))
 
     for layer in g.layers:
         try:

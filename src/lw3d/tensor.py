@@ -8,14 +8,17 @@ operations, and the binary file format is bit-exact across platforms.
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import BinaryIO, NamedTuple, Sequence
 
 import numpy as np
 
 MAGIC = b"LW3D"
 FORMAT_VERSION = 1
+HEADER = struct.Struct("<4sB5Q")  # magic, version byte, five u64 LE dims
 
 
 class Shape5(NamedTuple):
@@ -120,36 +123,49 @@ def split_channels(x: Tensor5D, sizes: Sequence[int]) -> list[Tensor5D]:
     return out
 
 
-def map_elementwise(x: Tensor5D, f: Callable[[float], float]) -> Tensor5D:
-    return Tensor5D(np.vectorize(f, otypes=[np.float32])(x.data))
-
-
 def relu(x: Tensor5D) -> Tensor5D:
     return Tensor5D(np.maximum(x.data, np.float32(0.0)))
 
 
-def save_tensor(path, x: Tensor5D) -> None:
-    """Write the portable binary format: magic, version byte, five u64 LE dims,
+def write_record(f: BinaryIO, x: Tensor5D) -> None:
+    """Write one ``.lw3d`` record: magic, version byte, five u64 LE dims,
     then the float32 LE payload in layout order."""
+    f.write(HEADER.pack(MAGIC, FORMAT_VERSION, *x.shape))
+    f.write(np.ascontiguousarray(x.data, dtype="<f4").tobytes())
+
+
+def read_record(f: BinaryIO, label: str) -> Tensor5D:
+    """Read one record from ``f``; every error is a one-line ``ValueError``
+    that starts with ``label``.  The payload size the header claims is
+    checked against the bytes left in the file before anything is read."""
+    head = f.read(HEADER.size)
+    if not head:
+        raise ValueError(f"{label}: file ends before the record")
+    if head[:4] != MAGIC:
+        raise ValueError(f"{label}: bad magic {head[:4]!r}")
+    if len(head) < HEADER.size:
+        raise ValueError(f"{label}: truncated header, {len(head)} of {HEADER.size} bytes")
+    _, version, *dims = HEADER.unpack(head)
+    if version != FORMAT_VERSION:
+        raise ValueError(f"{label}: unsupported format version {version}")
+    if min(dims) < 1:
+        raise ValueError(f"{label}: all dims must be >= 1, got {tuple(dims)}")
+    nbytes = 4 * math.prod(dims)
+    left = os.fstat(f.fileno()).st_size - f.tell()
+    if nbytes > left:
+        raise ValueError(
+            f"{label}: truncated payload, dims {tuple(dims)} need {nbytes} bytes, "
+            f"{left} left"
+        )
+    payload = np.frombuffer(f.read(nbytes), dtype="<f4")
+    return Tensor5D(payload.astype(np.float32).reshape(dims))
+
+
+def save_tensor(path, x: Tensor5D) -> None:
     with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(bytes([FORMAT_VERSION]))
-        f.write(struct.pack("<5Q", *x.shape))
-        f.write(np.ascontiguousarray(x.data, dtype="<f4").tobytes())
+        write_record(f, x)
 
 
 def load_tensor(path) -> Tensor5D:
     with open(path, "rb") as f:
-        magic = f.read(4)
-        if magic != MAGIC:
-            raise ValueError(f"{path}: bad magic {magic!r}")
-        version = f.read(1)
-        if version != bytes([FORMAT_VERSION]):
-            raise ValueError(f"{path}: unsupported format version {version!r}")
-        dims = struct.unpack("<5Q", f.read(40))
-        count = int(np.prod([int(d) for d in dims], dtype=np.int64))
-        payload = f.read(4 * count)
-        if len(payload) != 4 * count:
-            raise ValueError(f"{path}: truncated payload")
-        data = np.frombuffer(payload, dtype="<f4").astype(np.float32).reshape(dims)
-    return Tensor5D(data)
+        return read_record(f, str(path))

@@ -1,9 +1,13 @@
 import dataclasses
+import io
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lw3d import autodiff, gradcheck, ops
+from lw3d import autodiff, gradcheck, ops, tensor
 from lw3d.autodiff import (
     NetworkParams,
     Parameter,
@@ -19,7 +23,13 @@ from lw3d.autodiff import (
     train_toy,
 )
 from lw3d.dataio import synth_clip
-from lw3d.graph import LayerSpec, ModuleGraph, SplitSpec, build_network
+from lw3d.graph import (
+    LayerSpec,
+    ModuleGraph,
+    SplitSpec,
+    build_network,
+    parameterized_layers,
+)
 from lw3d.ops import Conv3DSpec, PoolSpec
 from lw3d.tensor import Shape5, Tensor5D
 
@@ -227,6 +237,81 @@ class TestWeightFile:
         path.write_bytes(path.read_bytes() + b"\x00")
         with pytest.raises(ValueError, match="trailing"):
             load_weights(path, g)
+
+    def test_version_9_record_rejected(self, tmp_path):
+        g = toy_net()
+        path = tmp_path / "w.bin"
+        save_weights(path, g, init_params(g, 0))
+        raw = bytearray(path.read_bytes())
+        raw[4] = 9
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match="version") as e:
+            load_weights(path, g)
+        assert str(path) in str(e.value) and "conv1" in str(e.value)
+
+    def test_oversized_claim_rejected_before_allocating(self, tmp_path):
+        g = toy_net()
+        path = tmp_path / "w.bin"
+        path.write_bytes(
+            tensor.MAGIC + b"\x01" + struct.pack("<5Q", 2**17, 2**17, 1, 1, 1)
+        )
+        with pytest.raises(ValueError, match="truncated payload") as e:
+            load_weights(path, g)
+        assert str(path) in str(e.value) and "conv1" in str(e.value)
+
+
+def _tiny_weight_bytes() -> bytes:
+    """The tiny graph's seed-0 weight file, written by hand from the format."""
+    g = tiny_graph()
+    buf = io.BytesIO()
+    params = init_params(g, 0)
+    for layer in parameterized_layers(g):
+        if layer.kind == "conv":
+            value = params.conv[layer.id].value
+        else:
+            s = params.bn[layer.id]
+            value = np.stack([s.gamma.value, s.beta.value, s.mean, s.var])
+            value = value.reshape(4, layer.params, 1, 1, 1)
+        buf.write(tensor.MAGIC + b"\x01" + struct.pack("<5Q", *value.shape))
+        buf.write(value.astype("<f4").tobytes())
+    return buf.getvalue()
+
+
+TINY_WEIGHTS = _tiny_weight_bytes()
+
+
+def test_weight_file_is_concatenated_tensor_records(tmp_path):
+    g = tiny_graph()
+    path = tmp_path / "w.bin"
+    save_weights(path, g, init_params(g, 0))
+    assert path.read_bytes() == TINY_WEIGHTS
+
+
+# arbitrary bytes, plus a valid weight file cut short, extended, or with one
+# byte overwritten, so that every check in the record reader is reached
+weight_bytes = st.one_of(
+    st.binary(max_size=200),
+    st.builds(
+        lambda cut, pos, byte, tail: (
+            TINY_WEIGHTS[:pos] + bytes([byte]) + TINY_WEIGHTS[pos + 1 :]
+        )[:cut] + tail,
+        st.integers(min_value=0, max_value=len(TINY_WEIGHTS)),
+        st.integers(min_value=0, max_value=len(TINY_WEIGHTS) - 1),
+        st.integers(min_value=0, max_value=255),
+        st.binary(max_size=8),
+    ),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(raw=weight_bytes)
+def test_load_weights_loads_or_raises_value_error(tmp_path_factory, raw):
+    path = tmp_path_factory.mktemp("fuzz") / "w.bin"
+    path.write_bytes(raw)
+    try:
+        load_weights(path, tiny_graph())
+    except ValueError as e:
+        assert str(path) in str(e) and "\n" not in str(e)
 
 
 class TestCalibration:

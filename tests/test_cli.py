@@ -175,6 +175,17 @@ class TestTrainInferRoundTrip:
         assert code == 2
         assert "conv1" in err
 
+    def test_infer_rejects_short_tensor_file(self, capsys, tmp_path):
+        data = tmp_path / "short.lw3d"
+        data.write_bytes(b"LW3D\x01" + bytes(10))
+        code, _, err = run(
+            capsys, "infer", "--arch", "gsst", "--input", "3x8x32x32",
+            "--classes", "2", "--width-mult", "0.125", "--tensor", str(data),
+        )
+        assert code == 2
+        assert str(data) in err
+        assert "Traceback" not in err
+
     def test_infer_requires_some_input(self, capsys):
         code, _, err = run(capsys, "infer", "--arch", "i3d")
         assert code == 2

@@ -9,6 +9,7 @@ from lw3d.graph import (
     InceptionWidths,
     LayerSpec,
     ModuleGraph,
+    SplitSpec,
     allocate_groups,
     build_inception_module,
     build_network,
@@ -174,6 +175,37 @@ class TestBuildNetwork:
                 "i3d",
                 Shape5(1, 1, 1, 1, 1),
             )
+
+    def test_softmax_before_last_layer_rejected(self):
+        with pytest.raises(ValueError, match="'probs'.*not the last layer"):
+            ModuleGraph(
+                [
+                    LayerSpec("input", "input", Shape5(1, 2, 1, 1, 1)),
+                    LayerSpec("probs", "softmax", None, ["input"]),
+                    LayerSpec("out", "relu", None, ["probs"]),
+                ],
+                "i3d",
+                Shape5(1, 2, 1, 1, 1),
+            )
+
+    def test_port_maps_reference_to_channel_slice(self):
+        g = ModuleGraph(
+            [
+                LayerSpec("input", "input", Shape5(1, 6, 1, 1, 1)),
+                LayerSpec("sp", "split", SplitSpec((1, 3, 2)), ["input"]),
+                LayerSpec("cat", "concat", None, ["sp:2", "sp:0"]),
+            ],
+            "sst",
+            Shape5(1, 6, 1, 1, 1),
+        )
+        assert g.port("sp") == ("sp", slice(None))
+        assert g.port("sp:0") == ("sp", slice(0, 1))
+        assert g.port("sp:1") == ("sp", slice(1, 4))
+        assert g.port("sp:2") == ("sp", slice(4, 6))
+        assert infer_shapes(g)["cat"].c == 3
+        for bad in ("sp:3", "sp:x", "input:0"):
+            with pytest.raises(ValueError, match="names no port"):
+                g.port(bad)
 
     def test_width_multiplier_scales_classifier_input(self):
         g = build_network("gsst", Shape5(1, 3, 8, 32, 32), 2, width_mult=0.125)

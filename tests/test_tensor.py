@@ -73,12 +73,6 @@ def test_relu_idempotent():
     assert tensor.relu(once) == once
 
 
-def test_map_elementwise_matches_relu():
-    rng = np.random.default_rng(1)
-    x = rand_tensor(rng, (1, 4, 2, 3, 3))
-    assert tensor.map_elementwise(x, lambda v: max(0.0, v)) == tensor.relu(x)
-
-
 @st.composite
 def tensor_and_partition(draw):
     c = draw(st.integers(min_value=1, max_value=12))
@@ -168,3 +162,56 @@ class TestFileFormat:
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(ValueError, match="truncated"):
             tensor.load_tensor(path)
+
+    def test_short_header_rejected(self, tmp_path):
+        path = tmp_path / "short.lw3d"
+        path.write_bytes(b"LW3D\x01" + bytes(10))
+        with pytest.raises(ValueError, match="truncated header") as e:
+            tensor.load_tensor(path)
+        assert str(path) in str(e.value)
+
+    def test_oversized_claim_rejected_before_allocating(self, tmp_path):
+        # 2**34 floats is 64 GiB; the claim is checked against the file size
+        path = tmp_path / "huge.lw3d"
+        path.write_bytes(b"LW3D\x01" + struct.pack("<5Q", 2**17, 2**17, 1, 1, 1) + bytes(8))
+        with pytest.raises(ValueError, match="truncated payload") as e:
+            tensor.load_tensor(path)
+        assert str(path) in str(e.value)
+
+    def test_dims_whose_product_wraps_int64_rejected(self, tmp_path):
+        # 2**33 * 2**31 == 2**64 wraps to 0 in int64 arithmetic
+        path = tmp_path / "wrap.lw3d"
+        path.write_bytes(b"LW3D\x01" + struct.pack("<5Q", 2**33, 2**31, 1, 1, 1))
+        with pytest.raises(ValueError, match="truncated payload") as e:
+            tensor.load_tensor(path)
+        assert str(path) in str(e.value)
+
+
+def _header(version, dims):
+    return tensor.MAGIC + bytes([version]) + struct.pack("<5Q", *dims)
+
+
+# arbitrary bytes, plus well-formed headers with small dims, an arbitrary
+# version byte and an arbitrary payload, so every check in the reader is hit
+record_bytes = st.one_of(
+    st.binary(max_size=120),
+    st.builds(
+        lambda version, dims, payload: _header(version, dims) + payload,
+        st.sampled_from([tensor.FORMAT_VERSION, 0, 2, 9]),
+        st.tuples(*[st.integers(min_value=0, max_value=3)] * 5),
+        st.binary(max_size=200),
+    ),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(raw=record_bytes)
+def test_load_tensor_loads_or_raises_value_error(tmp_path_factory, raw):
+    path = tmp_path_factory.mktemp("fuzz") / "t.lw3d"
+    path.write_bytes(raw)
+    try:
+        x = tensor.load_tensor(path)
+    except ValueError as e:
+        assert str(path) in str(e) and "\n" not in str(e)
+    else:
+        assert 45 + 4 * x.shape.size <= len(raw)
