@@ -118,9 +118,11 @@ def batchnorm_backward(
 
 
 def channel_shuffle_backward(gout: np.ndarray, groups: int, channels: int) -> np.ndarray:
-    """Transpose of the shuffle permutation: shuffle with c/groups groups."""
-    g = Tensor5D(np.asarray(gout, dtype=np.float32))
-    return ops.channel_shuffle(g, channels // groups).data.astype(np.float64)
+    """Transpose of the shuffle permutation: shuffle with c/groups groups,
+    done in float64 so the gradient is permuted exactly."""
+    g = np.asarray(gout, dtype=np.float64)
+    per = channels // groups
+    return g.reshape(g.shape[0], per, groups, *g.shape[2:]).swapaxes(1, 2).reshape(g.shape)
 
 
 def softmax_xent(logits: np.ndarray, label: int) -> tuple[float, np.ndarray]:
@@ -408,6 +410,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.learning_rate <= 0:
             raise ValueError("learning rate must be positive")
+        if self.batch_size < 1:
+            raise ValueError(f"batch size must be at least 1, got {self.batch_size}")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError("momentum must lie in [0, 1)")
         if self.lr_decay_factor <= 1:

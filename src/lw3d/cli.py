@@ -42,15 +42,15 @@ def _network_from_args(args) -> graph.ModuleGraph:
         cfg = graph.parse_network_config(args.config)
         arch = args.arch or cfg.arch
         shape = Shape5(1, *cfg.input) if args.input is None else _input_shape(args.input)
-        classes = args.classes or cfg.classes
+        classes = cfg.classes if args.classes is None else args.classes
         mult = args.width_mult if args.width_mult is not None else cfg.width_mult
         overrides = cfg.width_overrides
     else:
         if not args.arch:
             raise ValueError("--arch is required without --config")
         arch = args.arch
-        shape = _input_shape(args.input or "3x32x224x224")
-        classes = args.classes or 60
+        shape = _input_shape("3x32x224x224" if args.input is None else args.input)
+        classes = 60 if args.classes is None else args.classes
         mult = args.width_mult if args.width_mult is not None else 1.0
         overrides = None
     return graph.build_network(arch, shape, classes, mult, overrides)
@@ -188,6 +188,8 @@ def cmd_train_toy(args) -> int:
 
 
 def cmd_infer(args) -> int:
+    if args.windows < 1:
+        raise ValueError(f"--windows must be at least 1, got {args.windows}")
     g = _network_from_args(args)
     params = (
         autodiff.load_weights(args.weights, g)

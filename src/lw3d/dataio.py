@@ -171,11 +171,24 @@ def write_manifest(path, records: list[ClipRecord]) -> None:
 
 
 def read_manifest(path) -> list[ClipRecord]:
+    """Read ``path<TAB>label<TAB>stream<TAB>source`` lines; a malformed line
+    raises a ValueError naming the file and the line."""
     records = []
     with open(path, encoding="utf-8") as f:
-        for line in f:
+        for lineno, line in enumerate(f, 1):
             if not line.strip():
                 continue
-            p, label, stream, source = line.rstrip("\n").split("\t")
-            records.append(ClipRecord(p, int(label), stream, source))
+            fields = line.rstrip("\n").split("\t")
+            if len(fields) != 4:
+                raise ValueError(
+                    f"{path}: line {lineno}: expected 4 tab-separated fields "
+                    f"(path, label, stream, source), got {len(fields)}"
+                )
+            p, label, stream, source = fields
+            try:
+                records.append(ClipRecord(p, int(label), stream, source))
+            except ValueError:
+                raise ValueError(
+                    f"{path}: line {lineno}: label {label!r} is not an integer"
+                ) from None
     return records

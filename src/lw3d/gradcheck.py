@@ -174,6 +174,8 @@ def check_op(op: str, trials: int = 20, seed: int = 0) -> float:
     """Worst relative error over ``trials`` random instances of ``op``."""
     if op not in _CHECKS:
         raise ValueError(f"unknown op {op!r}; choose from {OPS}")
+    if trials < 1:
+        raise ValueError(f"need at least one trial, got {trials}")
     worst = 0.0
     for k in range(trials):
         rng = np.random.default_rng((seed << 16) + k)

@@ -8,6 +8,7 @@ Multi-output layers (channel split) expose ports referenced as ``"id:k"``.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
@@ -178,9 +179,18 @@ def shuffle_group_count(in_channels: int) -> int:
     raise ValueError(f"no shuffle group count in [4, 16] divides {in_channels}")
 
 
+# Pools after module groups 3 and 4, each its own cost-report row.
+TRAILING_POOLS = {
+    "mg3": ("maxp3", PoolSpec("max", (3, 3, 3), (2, 2, 2), (1, 1, 1))),
+    "mg4": ("maxp4", PoolSpec("max", (2, 2, 2), (2, 2, 2), (0, 0, 0))),
+}
+STEM_POOL = PoolSpec("max", (1, 3, 3), (1, 2, 2), (0, 1, 1))
+
+
 class _Builder:
     def __init__(self, arch: str):
         self.arch = arch
+        self.groups = 2 if arch == "gsst" else 1  # gsst: convs after conv1 in 2 groups
         self.layers: list[LayerSpec] = []
         self.notes: list[str] = []
 
@@ -188,30 +198,41 @@ class _Builder:
         self.layers.append(layer)
         return layer.id
 
-    def groups_for(self, name: str, cin: int, cout: int, groups: int) -> int:
-        """Degroup a convolution whose widths cannot split evenly (only ever
-        fires on scaled-down toy widths, never on the canonical tables)."""
-        if groups == 1 or (cin % groups == 0 and cout % groups == 0):
-            return groups
-        self.notes.append(
-            f"{name}: widths {cin}->{cout} not divisible into {groups} "
-            "groups, using an ungrouped convolution"
-        )
-        return 1
-
-    def conv_bn_relu(
-        self,
-        name: str,
-        spec: Conv3DSpec,
-        input_ref: str,
-        row: str = "",
-        stage: str = "",
+    def conv(
+        self, name: str, cin: int, cout: int, src: str, row: str, stage: str = "",
+        kernel=(1, 1, 1), stride=(1, 1, 1), padding=(0, 0, 0), groups: int | None = None,
     ) -> str:
-        cid = self.add(LayerSpec(name, "conv", spec, [input_ref], row, stage))
-        bid = self.add(
-            LayerSpec(name + ".bn", "bn", spec.out_channels, [cid], row, stage)
-        )
-        return self.add(LayerSpec(name + ".relu", "relu", None, [bid], row, stage))
+        """Append conv -> bn -> relu in the arch's groups (or ``groups``).  A
+        convolution whose widths cannot split evenly is degrouped (only ever
+        fires on scaled-down toy widths, never on the canonical tables)."""
+        g = self.groups if groups is None else groups
+        if g > 1 and (cin % g or cout % g):
+            self.notes.append(
+                f"{name}: widths {cin}->{cout} not divisible into {g} "
+                "groups, using an ungrouped convolution"
+            )
+            g = 1
+        spec = Conv3DSpec(cin, cout, kernel, stride, padding, g)
+        ref = self.add(LayerSpec(name, "conv", spec, [src], row, stage))
+        ref = self.add(LayerSpec(name + ".bn", "bn", cout, [ref], row, stage))
+        return self.add(LayerSpec(name + ".relu", "relu", None, [ref], row, stage))
+
+    def cube(
+        self, name: str, cin: int, mid: int, cout: int, k: int, src: str, row: str,
+        stage: str = "", stride: int = 1, groups: int | None = None, full: str = "",
+    ) -> str:
+        """The paper's factorization rule.  i3d keeps the k x k x k conv (named
+        ``full`` or ``name``); the others replace it by a 1 x k x k conv to
+        ``mid`` channels (``name.spatial``) and a k x 1 x 1 conv to ``cout``
+        (``name.temporal``), splitting the stride and padding between them."""
+        p, s = k // 2, stride
+        if self.arch == "i3d":
+            return self.conv(full or name, cin, cout, src, row, stage,
+                             (k, k, k), (s, s, s), (p, p, p), groups)
+        ref = self.conv(f"{name}.spatial", cin, mid, src, row, stage,
+                        (1, k, k), (1, s, s), (0, p, p), groups)
+        return self.conv(f"{name}.temporal", mid, cout, ref, row, stage,
+                         (k, 1, 1), (s, 1, 1), (p, 0, 0), groups)
 
     def inception_module(
         self,
@@ -222,9 +243,7 @@ class _Builder:
         row: str = "",
     ) -> tuple[str, int]:
         """Append one Inc/IST/SST/GSST module; returns (output ref, out channels)."""
-        variant = self.arch
-        conv_groups = 2 if variant == "gsst" else 1
-        if variant in ("sst", "gsst"):
+        if self.arch in ("sst", "gsst"):
             n_shuf = shuffle_group_count(in_channels)
             if n_shuf != SHUFFLE_GROUPS:
                 self.notes.append(
@@ -236,84 +255,39 @@ class _Builder:
             sid = self.add(
                 LayerSpec(f"{name}.shuffle", "shuffle", n_shuf, [input_ref], row)
             )
-            split_id = self.add(
-                LayerSpec(
-                    f"{name}.split", "split", SplitSpec(alloc.channels_per_path),
-                    [sid], row,
-                )
-            )
+            split = SplitSpec(alloc.channels_per_path)
+            split_id = self.add(LayerSpec(f"{name}.split", "split", split, [sid], row))
             branch_in = [f"{split_id}:{i}" for i in range(4)]
             branch_ch = list(alloc.channels_per_path)
         else:
             branch_in = [input_ref] * 4
             branch_ch = [in_channels] * 4
 
-        def gconv(
-            lname: str,
-            cin: int,
-            cout: int,
-            kernel=(1, 1, 1),
-            padding=(0, 0, 0),
-        ) -> Conv3DSpec:
-            g = self.groups_for(lname, cin, cout, conv_groups)
-            return Conv3DSpec(cin, cout, kernel, (1, 1, 1), padding, g)
-
         # branch 1: single pointwise
-        b1 = self.conv_bn_relu(
-            f"{name}.b1",
-            gconv(f"{name}.b1", branch_ch[0], widths.b1),
-            branch_in[0],
-            row,
-            "one",
-        )
-        # branches 2 and 3: reduce, then 3x3x3 (Inc) or 1x3x3 -> 3x1x1 (others)
-        outs = [b1]
-        for bi, (reduce_w, out_w) in (
-            (2, (widths.b2_reduce, widths.b2_out)),
-            (3, (widths.b3_reduce, widths.b3_out)),
+        outs = [self.conv(f"{name}.b1", branch_ch[0], widths.b1, branch_in[0], row, "one")]
+        # branches 2 and 3: reduce, then a factorized 3x3x3 widening in its temporal half
+        for bi, reduce_w, out_w in (
+            (2, widths.b2_reduce, widths.b2_out),
+            (3, widths.b3_reduce, widths.b3_out),
         ):
             prefix = f"{name}.b{bi}"
-            red = self.conv_bn_relu(
-                f"{prefix}.reduce",
-                gconv(f"{prefix}.reduce", branch_ch[bi - 1], reduce_w),
-                branch_in[bi - 1], row, "one",
+            red = self.conv(
+                f"{prefix}.reduce", branch_ch[bi - 1], reduce_w, branch_in[bi - 1],
+                row, "one",
             )
-            if variant == "i3d":
-                full = gconv(
-                    f"{prefix}.conv", reduce_w, out_w, (3, 3, 3), (1, 1, 1)
-                )
-                outs.append(self.conv_bn_relu(f"{prefix}.conv", full, red, row, "two"))
-            else:
-                spatial = gconv(
-                    f"{prefix}.spatial", reduce_w, reduce_w, (1, 3, 3), (0, 1, 1)
-                )
-                sid = self.conv_bn_relu(f"{prefix}.spatial", spatial, red, row, "two")
-                temporal = gconv(
-                    f"{prefix}.temporal", reduce_w, out_w, (3, 1, 1), (1, 0, 0)
-                )
-                outs.append(
-                    self.conv_bn_relu(f"{prefix}.temporal", temporal, sid, row, "two")
-                )
+            outs.append(self.cube(
+                prefix, reduce_w, reduce_w, out_w, 3, red, row, "two",
+                full=f"{prefix}.conv",
+            ))
         # branch 4: maxpool + projection
-        pool = self.add(
-            LayerSpec(
-                f"{name}.b4.pool",
-                "pool",
-                PoolSpec("max", (3, 3, 3), (1, 1, 1), (1, 1, 1)),
-                [branch_in[3]],
-                row,
-                "one",
-            )
+        pool = PoolSpec("max", (3, 3, 3), (1, 1, 1), (1, 1, 1))
+        pid = self.add(
+            LayerSpec(f"{name}.b4.pool", "pool", pool, [branch_in[3]], row, "one")
         )
-        proj = self.conv_bn_relu(
-            f"{name}.b4.proj",
-            gconv(f"{name}.b4.proj", branch_ch[3], widths.b4_proj),
-            pool, row, "two",
+        outs.append(
+            self.conv(f"{name}.b4.proj", branch_ch[3], widths.b4_proj, pid, row, "two")
         )
-        outs.append(proj)
-        # keep branch order 1..4 in the concatenation
-        ordered = [outs[0], outs[1], outs[2], proj]
-        cat = self.add(LayerSpec(f"{name}.concat", "concat", None, ordered, row))
+        cat = self.add(LayerSpec(f"{name}.concat", "concat", None, outs, row))
         return cat, widths.out_channels
 
 
@@ -349,100 +323,29 @@ def build_network(
     input_shape = Shape5(*input_shape)
     if input_shape.c < 1:
         raise ValueError("input must have at least one channel")
+    if num_classes < 1:
+        raise ValueError(f"need at least one class, got {num_classes}")
+    if not (math.isfinite(width_mult) and width_mult > 0):
+        raise ValueError(f"width multiplier must be positive and finite, got {width_mult}")
+    overrides = width_overrides or {}
+    w64, w192 = (max(1, round(v * width_mult)) for v in (64, 192))
 
-    def scale(v: int) -> int:
-        return max(1, round(v * width_mult))
-
-    stem_groups = 2 if arch == "gsst" else 1
     b = _Builder(arch)
-    b.add(LayerSpec("input", "input", input_shape))
-    c_in = input_shape.c
-    w64, w192 = scale(64), scale(192)
-
-    if arch == "i3d":
-        cur = b.conv_bn_relu(
-            "conv1",
-            Conv3DSpec(c_in, w64, (7, 7, 7), (2, 2, 2), (3, 3, 3)),
-            "input",
-            "conv1",
-        )
-    else:
-        cur = b.conv_bn_relu(
-            "conv1.spatial",
-            Conv3DSpec(c_in, w64, (1, 7, 7), (1, 2, 2), (0, 3, 3)),
-            "input",
-            "conv1",
-        )
-        cur = b.conv_bn_relu(
-            "conv1.temporal",
-            Conv3DSpec(w64, w64, (7, 1, 1), (2, 1, 1), (3, 0, 0)),
-            cur,
-            "conv1",
-        )
-    cur = b.add(
-        LayerSpec(
-            "maxp1", "pool",
-            PoolSpec("max", (1, 3, 3), (1, 2, 2), (0, 1, 1)), [cur], "maxp1",
-        )
-    )
-    cur = b.conv_bn_relu(
-        "conv2",
-        Conv3DSpec(
-            w64, w64, (1, 1, 1), groups=b.groups_for("conv2", w64, w64, stem_groups)
-        ),
-        cur,
-        "conv2",
-    )
-    if arch == "i3d":
-        cur = b.conv_bn_relu(
-            "conv3",
-            Conv3DSpec(w64, w192, (3, 3, 3), (1, 1, 1), (1, 1, 1)),
-            cur,
-            "conv3",
-        )
-    else:
-        cur = b.conv_bn_relu(
-            "conv3.spatial",
-            Conv3DSpec(
-                w64, w64, (1, 3, 3), (1, 1, 1), (0, 1, 1),
-                b.groups_for("conv3.spatial", w64, w64, stem_groups),
-            ),
-            cur,
-            "conv3",
-        )
-        cur = b.conv_bn_relu(
-            "conv3.temporal",
-            Conv3DSpec(
-                w64, w192, (3, 1, 1), (1, 1, 1), (1, 0, 0),
-                b.groups_for("conv3.temporal", w64, w192, stem_groups),
-            ),
-            cur,
-            "conv3",
-        )
-    cur = b.add(
-        LayerSpec(
-            "maxp2", "pool",
-            PoolSpec("max", (1, 3, 3), (1, 2, 2), (0, 1, 1)), [cur], "maxp2",
-        )
-    )
+    cur = b.add(LayerSpec("input", "input", input_shape))
+    # the stem: conv1 is never grouped and widens in its spatial half
+    cur = b.cube("conv1", input_shape.c, w64, w64, 7, cur, "conv1", stride=2, groups=1)
+    cur = b.add(LayerSpec("maxp1", "pool", STEM_POOL, [cur], "maxp1"))
+    cur = b.conv("conv2", w64, w64, cur, "conv2")
+    cur = b.cube("conv3", w64, w64, w192, 3, cur, "conv3")
+    cur = b.add(LayerSpec("maxp2", "pool", STEM_POOL, [cur], "maxp2"))
     channels = w192
-    between = {
-        "mg3": PoolSpec("max", (3, 3, 3), (2, 2, 2), (1, 1, 1)),
-        "mg4": PoolSpec("max", (2, 2, 2), (2, 2, 2), (0, 0, 0)),
-        "mg5": None,
-    }
-    pool_row = {"mg3": "maxp3", "mg4": "maxp4"}
     for group, module_names in MODULE_GROUPS.items():
         for mod in module_names:
-            widths = (width_overrides or {}).get(mod, WIDTH_TABLE[mod])
-            if width_overrides is None or mod not in width_overrides:
-                widths = widths.scaled(width_mult)
+            widths = overrides.get(mod) or WIDTH_TABLE[mod].scaled(width_mult)
             cur, channels = b.inception_module(mod, widths, channels, cur, row=group)
-        trailing = between[group]
-        if trailing is not None:
-            cur = b.add(
-                LayerSpec(pool_row[group], "pool", trailing, [cur], pool_row[group])
-            )
+        if group in TRAILING_POOLS:
+            pid, pool = TRAILING_POOLS[group]
+            cur = b.add(LayerSpec(pid, "pool", pool, [cur], pid))
     # final average pool: canonical kernel 2x7x7, clamped to the actual
     # feature-map extent so small toy inputs stay valid
     graph_so_far = ModuleGraph(list(b.layers), arch, input_shape, notes=b.notes)
@@ -576,30 +479,44 @@ def parse_shape_arg(text: str) -> tuple[int, ...]:
 
 
 def parse_network_config(path) -> NetworkConfig:
-    """Read the declarative architecture description (INI key-value sections)."""
-    cp = configparser.ConfigParser()
-    with open(path) as f:
-        cp.read_file(f)
+    """Read the declarative architecture description (INI key-value sections).
+    A malformed file raises a one-line ValueError naming the file."""
+    cp = configparser.ConfigParser(interpolation=None)
+    try:
+        with open(path) as f:
+            cp.read_file(f)
+    except configparser.Error as e:  # its message names the file and the line
+        raise ValueError(" ".join(str(e).split())) from None
     if "network" not in cp:
         raise ValueError(f"{path}: missing [network] section")
-    net = cp["network"]
-    dims = parse_shape_arg(net["input"])
+
+    def value(section: str, key: str, parse=str, default=None):
+        text = cp[section].get(key)
+        if text is None:
+            if default is None:
+                raise ValueError(f"{path}: [{section}] has no {key!r} field")
+            return default
+        try:
+            return parse(text)
+        except ValueError as e:
+            raise ValueError(f"{path}: [{section}] {key}: {e}") from None
+
+    dims = value("network", "input", parse_shape_arg)
     if len(dims) != 4:
-        raise ValueError(f"{path}: input must be CxTxHxW, got {net['input']!r}")
+        raise ValueError(f"{path}: input must be CxTxHxW, got {cp['network']['input']!r}")
     overrides: dict[str, InceptionWidths] = {}
     for section in cp.sections():
         if section.startswith("widths."):
             mod = section.split(".", 1)[1]
             if mod not in WIDTH_TABLE:
                 raise ValueError(f"{path}: unknown module {mod!r} in {section}")
-            vals = cp[section]
             overrides[mod] = InceptionWidths(
-                *(int(vals[k]) for k in InceptionWidths._fields)
+                *(value(section, k, int) for k in InceptionWidths._fields)
             )
     return NetworkConfig(
-        arch=net["arch"].lower(),
+        arch=value("network", "arch").lower(),
         input=dims,
-        classes=net.getint("classes", 60),
-        width_mult=net.getfloat("width_mult", 1.0),
+        classes=value("network", "classes", int, 60),
+        width_mult=value("network", "width_mult", float, 1.0),
         width_overrides=overrides,
     )

@@ -65,6 +65,22 @@ class TestOperatorGradients:
         redone = ops.channel_shuffle(Tensor5D(gx.astype(np.float32)), 4)
         assert np.array_equal(redone.data, gout)
 
+    def test_shuffle_gradient_keeps_float64_exact(self):
+        rng = np.random.default_rng(1)
+        gout = rng.standard_normal((2, 12, 2, 3, 3))  # float64, not float32-exact
+        # perm[k] is the input channel that the forward shuffle puts at k
+        ramp = np.arange(12, dtype=np.float32).reshape(1, 12, 1, 1, 1)
+        perm = ops.channel_shuffle(Tensor5D(ramp), 4).data.ravel().astype(int)
+        expected = np.empty_like(gout)
+        expected[:, perm] = gout
+        gx = autodiff.channel_shuffle_backward(gout, 4, 12)
+        assert gx.dtype == np.float64
+        assert np.array_equal(gx, expected)
+
+    def test_check_op_rejects_zero_trials(self):
+        with pytest.raises(ValueError, match="at least one trial"):
+            gradcheck.check_op("relu", trials=0)
+
     def test_max_pool_ties_route_to_first_in_layout_order(self):
         x = Tensor5D(np.ones((1, 1, 2, 2, 2), dtype=np.float32))
         spec = PoolSpec("max", (2, 2, 2), (2, 2, 2), (0, 0, 0))
@@ -199,6 +215,8 @@ class TestSgd:
             TrainConfig(lr_decay_factor=1.0)
         with pytest.raises(ValueError):
             TrainConfig(grad_clip=0.0)
+        with pytest.raises(ValueError, match="batch size"):
+            TrainConfig(batch_size=0)
 
 
 class TestWeightFile:

@@ -38,6 +38,84 @@ class TestExitCodes:
         assert "--arch" in err
 
 
+TOY_NET = (
+    "--arch", "gsst", "--input", "3x8x32x32", "--classes", "2", "--width-mult", "0.125",
+)
+
+
+class TestNonPositiveCounts:
+    """Counts of zero or below are rejected where they enter, with exit 2,
+    instead of checking nothing, scoring nothing or being replaced."""
+
+    def test_gradcheck_zero_trials(self, capsys):
+        code, out, err = run(capsys, "gradcheck", "--op", "relu", "--trials", "0")
+        assert code == 2
+        assert "at least one trial" in err
+        assert out == ""
+
+    def test_infer_zero_windows(self, capsys, tmp_path):
+        data = tmp_path / "clip.lw3d"
+        clip = synth_clip(0, 2, (3, 8, 32, 32), np.random.default_rng(0))
+        tensor.save_tensor(data, clip)
+        code, out, err = run(
+            capsys, "infer", *TOY_NET, "--tensor", str(data), "--windows", "0"
+        )
+        assert code == 2
+        assert "--windows" in err
+        assert out == ""
+
+    def test_zero_classes(self, capsys):
+        code, _, err = run(capsys, "analyze", "--arch", "i3d", "--classes", "0")
+        assert code == 2
+        assert "at least one class" in err
+
+    def test_zero_classes_overrides_config(self, capsys, tmp_path):
+        cfg = tmp_path / "net.ini"
+        cfg.write_text("[network]\narch = i3d\ninput = 3x32x224x224\nclasses = 60\n")
+        code, _, err = run(capsys, "analyze", "--config", str(cfg), "--classes", "0")
+        assert code == 2
+        assert "at least one class" in err
+
+    def test_negative_width_multiplier(self, capsys):
+        code, _, err = run(capsys, "analyze", "--arch", "i3d", "--width-mult", "-1")
+        assert code == 2
+        assert "width multiplier" in err
+
+    def test_train_toy_zero_batch(self, capsys, tmp_path):
+        code, _, err = run(
+            capsys, "train-toy", *TOY_NET, "--batch", "0", "--epochs", "1",
+            "--clips-per-class", "1", "--out-dir", str(tmp_path / "data"),
+        )
+        assert code == 2
+        assert "batch size" in err
+
+
+MALFORMED_CORPUS = {
+    "no-arch.ini": "[network]\ninput = 3x8x32x32\n",
+    "no-header.ini": "arch = gsst\ninput = 3x8x32x32\n",
+    "two-fields.tsv": "clip.lw3d\t0\n",
+}
+
+
+@pytest.mark.parametrize(
+    "name,argv",
+    [
+        ("no-arch.ini", ("analyze", "--config")),
+        ("no-header.ini", ("analyze", "--config")),
+        ("two-fields.tsv", ("infer", *TOY_NET, "--manifest")),
+        ("two-fields.tsv", ("train-toy", *TOY_NET, "--data")),
+    ],
+)
+def test_malformed_file_is_one_line_data_error(capsys, tmp_path, name, argv):
+    path = tmp_path / name
+    path.write_text(MALFORMED_CORPUS[name])
+    code, _, err = run(capsys, *argv, str(path))
+    assert code == 2
+    assert str(path) in err
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+
+
 class TestAnalyze:
     def test_table_has_exact_cells(self, capsys):
         code, out, _ = run(capsys, "analyze", "--arch", "i3d")

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -207,6 +209,13 @@ class TestBuildNetwork:
             with pytest.raises(ValueError, match="names no port"):
                 g.port(bad)
 
+    def test_rejects_non_positive_classes_and_width(self):
+        with pytest.raises(ValueError, match="at least one class"):
+            build_network("i3d", CANONICAL, num_classes=0)
+        for mult in (0.0, -1.0, float("inf")):
+            with pytest.raises(ValueError, match="width multiplier"):
+                build_network("i3d", CANONICAL, width_mult=mult)
+
     def test_width_multiplier_scales_classifier_input(self):
         g = build_network("gsst", Shape5(1, 3, 8, 32, 32), 2, width_mult=0.125)
         assert g.layer("classifier").params.in_channels == 128
@@ -283,8 +292,103 @@ class TestConfig:
         assert cfg.width_mult == 0.5
         assert cfg.width_overrides["4b"] == InceptionWidths(100, 50, 100, 10, 20, 30)
 
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("arch = i3d\ninput = 3x8x32x32\n", "no section headers.*line: 1"),
+            ("[network]\ninput = 3x8x32x32\n", r"\[network\] has no 'arch' field"),
+            ("[network]\narch = i3d\n", r"\[network\] has no 'input' field"),
+            ("[network]\narch = i3d\ninput = 3x8x32x32\nclasses = two\n", "classes"),
+            ("[network]\narch = i3d\ninput = 3x0x32x32\n", "input: bad shape"),
+            ("[network]\narch = i3d\narch = ist\n", "line 3.*already exists"),
+            ("[network]\narch = i3d\ninput = 3x8x32x32\n[widths.4b]\nb1 = 1\n",
+             r"\[widths.4b\] has no 'b2_reduce' field"),
+        ],
+        ids=["no-header", "no-arch", "no-input", "bad-classes", "bad-shape",
+             "duplicate-key", "short-widths"],
+    )
+    def test_config_errors_are_one_line_naming_the_file(self, tmp_path, text, message):
+        path = tmp_path / "net.ini"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=message) as e:
+            parse_network_config(path)
+        assert str(path) in str(e.value)
+        assert "\n" not in str(e.value)
+
     def test_config_rejects_unknown_module(self, tmp_path):
         path = tmp_path / "net.ini"
         path.write_text("[network]\narch = i3d\ninput = 3x8x32x32\n\n[widths.9z]\nb1 = 1\n")
         with pytest.raises(ValueError, match="9z"):
             parse_network_config(path)
+
+
+def graph_digest(g: ModuleGraph) -> str:
+    """Hash of every layer's (id, kind, params, inputs, row, stage) plus the
+    builder's notes: two graphs share a digest only if they agree layer for
+    layer."""
+    h = hashlib.sha256()
+    for layer in g.layers:
+        fields = (layer.id, layer.kind, layer.params, layer.inputs, layer.row, layer.stage)
+        h.update(repr(fields).encode())
+    h.update(repr(g.notes).encode())
+    return h.hexdigest()[:16]
+
+
+class TestGraphPins:
+    """Whole-graph identity of the builder's output, pinned so that a change
+    to the builder that moves any layer, parameter, row, stage or note shows
+    up here.  Width 0.125 and 0.34 exercise the reduced shuffle-group and
+    degrouped-convolution notes (0.34 degroups conv3.temporal in gsst)."""
+
+    NETWORK_PINS = {
+        ("i3d", (3, 32, 224, 224), 1.0): "fde99c3aa27da22e",
+        ("ist", (3, 32, 224, 224), 1.0): "5803daed409232ce",
+        ("sst", (3, 32, 224, 224), 1.0): "6ca91d9d417af6f0",
+        ("gsst", (3, 32, 224, 224), 1.0): "47b229b76169021c",
+        ("i3d", (3, 8, 32, 32), 0.125): "fba30a15288c84c9",
+        ("ist", (3, 8, 32, 32), 0.125): "1a9e2899f3c6c008",
+        ("sst", (3, 8, 32, 32), 0.125): "e3dcec515b5667ce",
+        ("gsst", (3, 8, 32, 32), 0.125): "1c2d34c5b83e3dc4",
+        ("i3d", (3, 8, 32, 32), 0.3): "d7e9684f37e20b70",
+        ("ist", (3, 8, 32, 32), 0.3): "e31f9771f6311e26",
+        ("i3d", (3, 8, 32, 32), 0.34): "8a4731d0607b8a99",
+        ("ist", (3, 8, 32, 32), 0.34): "33561bbf2c5ebbcc",
+        ("sst", (3, 8, 32, 32), 0.34): "040e24242a5a578b",
+        ("gsst", (3, 8, 32, 32), 0.34): "84659ab9a0dbf773",
+    }
+    MODULE_4B_PINS = {
+        "i3d": "0590343670c532bc",
+        "ist": "74d4892a788fdfa6",
+        "sst": "03871bd0b1b5f08d",
+        "gsst": "e3aec2b8b91f5a8f",
+    }
+    OVERRIDE_PINS = {
+        "i3d": "1a80ee67ecd818a4",
+        "ist": "94e5b5311d4f95af",
+        "sst": "9780eb9b034c791f",
+        "gsst": "54b2ec9308813fbc",
+    }
+
+    @pytest.mark.parametrize("arch,shape,mult", list(NETWORK_PINS))
+    def test_network(self, arch, shape, mult):
+        classes = 60 if mult == 1.0 else 4
+        g = build_network(arch, Shape5(1, *shape), classes, mult)
+        assert graph_digest(g) == self.NETWORK_PINS[arch, shape, mult]
+
+    @pytest.mark.parametrize("arch", ("sst", "gsst"))
+    def test_width_without_shuffle_divisor_rejected(self, arch):
+        # 192 * 0.3 rounds to 58 channels, which no count in [4, 16] divides
+        message = r"no shuffle group count in \[4, 16\] divides 58"
+        with pytest.raises(ValueError, match=message):
+            build_network(arch, Shape5(1, 3, 8, 32, 32), 4, 0.3)
+
+    @pytest.mark.parametrize("arch", ARCHS)
+    def test_module_4b(self, arch):
+        g = build_inception_module(WIDTH_TABLE["4b"], arch, 480)
+        assert graph_digest(g) == self.MODULE_4B_PINS[arch]
+
+    @pytest.mark.parametrize("arch", ARCHS)
+    def test_width_override(self, arch):
+        overrides = {"4b": InceptionWidths(100, 50, 100, 10, 20, 30)}
+        g = build_network(arch, Shape5(1, 3, 8, 32, 32), 4, 0.5, overrides)
+        assert graph_digest(g) == self.OVERRIDE_PINS[arch]
