@@ -35,33 +35,21 @@ def conv3d_backward(
     cg = spec.in_channels // spec.groups
     og = spec.out_channels // spec.groups
     out_dims = (out_shape.t, out_shape.h, out_shape.w)
-    L = out_shape.t * out_shape.h * out_shape.w
-    kt, kh, kw = spec.kernel
     gxp = np.zeros_like(xp)
     gw = np.empty_like(w)
     for gi in range(spec.groups):
         cs, os_ = slice(gi * cg, (gi + 1) * cg), slice(gi * og, (gi + 1) * og)
         cols = ops._im2col(xp[:, cs], spec.kernel, out_dims, spec.stride)
-        gmat = g[:, os_].reshape(x.n, og, L)
-        gw[os_] = np.einsum("nol,nkl->ok", gmat, cols).reshape(og, cg, kt, kh, kw)
+        gmat = g[:, os_].reshape(x.n, og, -1)
+        gw[os_] = np.einsum("nol,nkl->ok", gmat, cols).reshape(og, cg, *spec.kernel)
         gcols = np.einsum("ok,nol->nkl", w[os_].reshape(og, -1), gmat)
-        gcols = gcols.reshape(x.n, cg, kt * kh * kw, *out_dims)
-        k = 0
-        for dt in range(kt):
-            for dh in range(kh):
-                for dw in range(kw):
-                    ops._offset_view(gxp[:, cs], (dt, dh, dw), out_dims, spec.stride)[
-                        ...
-                    ] += gcols[:, :, k]
-                    k += 1
-    gx = _unpad(gxp, spec.padding)
-    return gx, gw
+        gcols = gcols.reshape(x.n, cg, -1, *out_dims)
+        ops._col2im(gxp[:, cs], lambda k: gcols[:, :, k], spec.kernel, out_dims, spec.stride)
+    return _unpad(gxp, spec.padding), gw
 
 
 def _unpad(xp: np.ndarray, padding) -> np.ndarray:
-    pt, ph, pw = padding
-    n, c, t, h, w = xp.shape
-    return xp[:, :, pt : t - pt or None, ph : h - ph or None, pw : w - pw or None]
+    return xp[(..., *(slice(p, -p or None) for p in padding))]
 
 
 def pool3d_backward(x: Tensor5D, spec: PoolSpec, gout: np.ndarray) -> np.ndarray:
@@ -70,31 +58,21 @@ def pool3d_backward(x: Tensor5D, spec: PoolSpec, gout: np.ndarray) -> np.ndarray
     out_shape = spec.output_shape(x.shape)
     g = np.asarray(gout, dtype=np.float64).reshape(out_shape)
     out_dims = (out_shape.t, out_shape.h, out_shape.w)
-    kt, kh, kw = spec.kernel
-    kvol = kt * kh * kw
     if spec.kind == "avg":
-        xp_shape = ops._pad_input(x.data, spec.padding).shape
-        gxp = np.zeros(xp_shape, dtype=np.float64)
-        share = g / kvol
-        for dt in range(kt):
-            for dh in range(kh):
-                for dw in range(kw):
-                    ops._offset_view(gxp, (dt, dh, dw), out_dims, spec.stride)[...] += share
+        gxp = np.zeros(ops._pad_input(x.data, spec.padding).shape, dtype=np.float64)
+        share = g / math.prod(spec.kernel)
+        ops._col2im(gxp, lambda k: share, spec.kernel, out_dims, spec.stride)
         return _unpad(gxp, spec.padding)
     xp = ops._pad_input(x.data.astype(np.float64), spec.padding, value=-np.inf)
     best = np.full(out_shape, -np.inf, dtype=np.float64)
     best_k = np.zeros(out_shape, dtype=np.int32)
-    offsets = [
-        (dt, dh, dw) for dt in range(kt) for dh in range(kh) for dw in range(kw)
-    ]
-    for k, off in enumerate(offsets):
-        view = ops._offset_view(xp, off, out_dims, spec.stride)
+    for k, tap in enumerate(ops._taps(spec.kernel)):
+        view = ops._offset_view(xp, tap, out_dims, spec.stride)
         mask = view > best
         best[mask] = view[mask]
         best_k[mask] = k
     gxp = np.zeros_like(xp)
-    for k, off in enumerate(offsets):
-        ops._offset_view(gxp, off, out_dims, spec.stride)[...] += g * (best_k == k)
+    ops._col2im(gxp, lambda k: g * (best_k == k), spec.kernel, out_dims, spec.stride)
     return _unpad(gxp, spec.padding)
 
 
@@ -412,6 +390,8 @@ class TrainConfig:
             raise ValueError("learning rate must be positive")
         if self.batch_size < 1:
             raise ValueError(f"batch size must be at least 1, got {self.batch_size}")
+        if self.epochs < 1:
+            raise ValueError(f"epochs must be at least 1, got {self.epochs}")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError("momentum must lie in [0, 1)")
         if self.lr_decay_factor <= 1:

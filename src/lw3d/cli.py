@@ -110,29 +110,55 @@ def cmd_compare_factorizations(args) -> int:
     return 0
 
 
-def _read_scores_csv(path) -> np.ndarray:
+def _csv_rows(path) -> list[tuple[int, list[str]]]:
+    """(line number, cells) for each non-empty row of a CSV file."""
     with open(path, newline="") as f:
-        rows = [[float(v) for v in row] for row in csv.reader(f) if row]
-    return np.asarray(rows, dtype=np.float64)
+        reader = csv.reader(f)
+        return [(reader.line_num, row) for row in reader if row]
+
+
+def _csv_cell(path, line: int, text: str, parse, message: str):
+    """``parse(text)``, or a one-line error naming the file and the line."""
+    try:
+        return parse(text)
+    except ValueError:
+        raise ValueError(f"{path}: line {line}: {message.format(text)}") from None
+
+
+def _read_scores_csv(path) -> np.ndarray:
+    rows = _csv_rows(path)
+    width = len(rows[0][1]) if rows else 0
+    scores = []
+    for line, row in rows:
+        if len(row) != width:
+            raise ValueError(f"{path}: line {line}: expected {width} scores, got {len(row)}")
+        scores.append(
+            [_csv_cell(path, line, v, float, "score {!r} is not a number") for v in row]
+        )
+    return np.asarray(scores, dtype=np.float64)
 
 
 def _read_labels_csv(path) -> np.ndarray:
-    with open(path, newline="") as f:
-        return np.asarray(
-            [int(row[0]) for row in csv.reader(f) if row], dtype=np.int64
-        )
+    return np.asarray(
+        [
+            _csv_cell(path, line, row[0], int, "label {!r} is not an integer")
+            for line, row in _csv_rows(path)
+        ],
+        dtype=np.int64,
+    )
 
 
 def cmd_fuse(args) -> int:
     a = _read_scores_csv(args.scores_a)
     b = _read_scores_csv(args.scores_b)
+    labels = _read_labels_csv(args.labels) if args.labels else None
     merged = fusion.merge(a, b, args.strategy, args.acc_a, args.acc_b)
+    if labels is not None:
+        acc = fusion.evaluate_accuracy(merged, labels)
     writer = csv.writer(sys.stdout, lineterminator="\n")
     for row in merged:
         writer.writerow([f"{v:.6f}" for v in row])
-    if args.labels:
-        labels = _read_labels_csv(args.labels)
-        acc = fusion.evaluate_accuracy(merged, labels)
+    if labels is not None:
         print(f"accuracy,{acc:.6f}")
     return 0
 
@@ -220,6 +246,8 @@ def cmd_infer(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    if args.repeat < 1:
+        raise ValueError(f"--repeat must be at least 1, got {args.repeat}")
     g = _network_from_args(args)
     shape = g.input_shape
     params = autodiff.init_params(g, args.seed)

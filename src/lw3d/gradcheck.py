@@ -7,9 +7,11 @@ the worst relative error seen.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
-from . import autodiff, ops
+from . import autodiff, ops, tensor
 from .ops import BatchNormParams, Conv3DSpec, PoolSpec
 from .tensor import Tensor5D
 
@@ -40,113 +42,100 @@ def relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
     return float(np.linalg.norm(a - n) / denom)
 
 
-def _rand_x(rng, shape) -> np.ndarray:
-    return rng.standard_normal(shape)
+def _t(x: np.ndarray) -> Tensor5D:
+    return Tensor5D(x.astype(np.float32))
 
 
-def _check_conv(rng, groups: int) -> float:
-    cin, cout = 4, 6
-    spec = Conv3DSpec(cin, cout, (3, 1, 3), (1, 1, 1), (1, 0, 1), groups)
-    x = _rand_x(rng, (2, cin, 3, 4, 4))
-    w = _rand_x(rng, spec.weight_shape)
-    proj = _rand_x(rng, tuple(spec.output_shape(Tensor5D(x.astype(np.float32)).shape)))
+def _worst(rng, forward, backward, *points) -> float:
+    """Worst relative error between the gradients ``backward(*points, proj)``
+    returns, a tuple with one per point, and the central differences of the
+    projection of ``forward(*points)`` on a random direction ``proj``."""
+    proj = rng.standard_normal(forward(*points).shape)
 
-    def loss_x(xv):
-        y = ops.conv3d_direct(Tensor5D(xv.astype(np.float32)), spec, w)
-        return float((y.data.astype(np.float64) * proj).sum())
+    def loss(i, v):
+        y = forward(*points[:i], v, *points[i + 1 :])
+        return float((y.astype(np.float64) * proj).sum())
 
-    def loss_w(wv):
-        y = ops.conv3d_direct(Tensor5D(x.astype(np.float32)), spec, wv)
-        return float((y.data.astype(np.float64) * proj).sum())
-
-    gx, gw = autodiff.conv3d_backward(
-        Tensor5D(x.astype(np.float32)), spec, w.astype(np.float32), proj
+    return max(
+        relative_error(g, numeric_grad(lambda v: loss(i, v), p))
+        for i, (g, p) in enumerate(zip(backward(*points, proj), points))
     )
-    ex = relative_error(gx, numeric_grad(loss_x, x))
-    ew = relative_error(gw, numeric_grad(loss_w, w))
-    return max(ex, ew)
 
 
-def _check_pool(rng, kind: str) -> float:
-    spec = PoolSpec(kind, (2, 2, 2), (2, 2, 2), (0, 0, 0))
-    shape = (1, 2, 4, 4, 4)
-    if kind == "max":
+def _check_conv(rng, spec: Conv3DSpec) -> float:
+    x = rng.standard_normal((2, spec.in_channels, 3, 4, 4))
+    w = rng.standard_normal(spec.weight_shape)
+    return _worst(
+        rng,
+        lambda x, w: ops.conv3d_direct(_t(x), spec, w).data,
+        lambda x, w, proj: autodiff.conv3d_backward(_t(x), spec, w.astype(np.float32), proj),
+        x,
+        w,
+    )
+
+
+def _check_pool(rng, spec: PoolSpec) -> float:
+    # two windows per axis, more where the window pads
+    shape = (1, 2, *(k + s for k, s in zip(spec.kernel, spec.stride)))
+    if spec.kind == "max":
         # well-separated distinct values so the window maximum cannot switch
         # within the finite-difference step
         x = (rng.permutation(np.prod(shape)).reshape(shape) * 0.1).astype(np.float64)
     else:
-        x = _rand_x(rng, shape)
-    proj = _rand_x(rng, tuple(spec.output_shape(Tensor5D(x.astype(np.float32)).shape)))
-
-    def loss(xv):
-        y = ops.pool3d(Tensor5D(xv.astype(np.float32)), spec)
-        return float((y.data.astype(np.float64) * proj).sum())
-
-    gx = autodiff.pool3d_backward(Tensor5D(x.astype(np.float32)), spec, proj)
-    return relative_error(gx, numeric_grad(loss, x))
+        x = rng.standard_normal(shape)
+    return _worst(
+        rng,
+        lambda x: ops.pool3d(_t(x), spec).data,
+        lambda x, proj: (autodiff.pool3d_backward(_t(x), spec, proj),),
+        x,
+    )
 
 
 def _check_relu(rng) -> float:
-    x = _rand_x(rng, (1, 3, 2, 3, 3))
+    x = rng.standard_normal((1, 3, 2, 3, 3))
     x[np.abs(x) < 0.05] += 0.1  # stay away from the kink
-    proj = _rand_x(rng, x.shape)
-
-    def loss(xv):
-        return float((np.maximum(xv, 0.0) * proj).sum())
-
-    gx = autodiff.relu_backward(Tensor5D(x.astype(np.float32)), proj)
-    return relative_error(gx, numeric_grad(loss, x))
+    return _worst(
+        rng,
+        lambda x: tensor.relu(_t(x)).data,
+        lambda x, proj: (autodiff.relu_backward(_t(x), proj),),
+        x,
+    )
 
 
 def _check_batchnorm(rng) -> float:
     c = 3
-    x = _rand_x(rng, (2, c, 2, 3, 3))
-    gamma = _rand_x(rng, c)
-    beta = _rand_x(rng, c)
-    mean = _rand_x(rng, c) * 0.1
-    var = np.abs(_rand_x(rng, c)) + 0.5
-    proj = _rand_x(rng, x.shape)
+    x = rng.standard_normal((2, c, 2, 3, 3))
+    gamma = rng.standard_normal(c)
+    beta = rng.standard_normal(c)
+    mean = rng.standard_normal(c) * 0.1
+    var = np.abs(rng.standard_normal(c)) + 0.5
 
-    def params(g=gamma, b=beta):
+    def bn(g, b):
         return BatchNormParams(g, b, mean, var)
 
-    def loss_x(xv):
-        y = ops.batchnorm_infer(Tensor5D(xv.astype(np.float32)), params())
-        return float((y.data.astype(np.float64) * proj).sum())
-
-    def loss_g(gv):
-        y = ops.batchnorm_infer(Tensor5D(x.astype(np.float32)), params(g=gv))
-        return float((y.data.astype(np.float64) * proj).sum())
-
-    def loss_b(bv):
-        y = ops.batchnorm_infer(Tensor5D(x.astype(np.float32)), params(b=bv))
-        return float((y.data.astype(np.float64) * proj).sum())
-
-    gx, gg, gb = autodiff.batchnorm_backward(
-        Tensor5D(x.astype(np.float32)), params(), proj
-    )
-    return max(
-        relative_error(gx, numeric_grad(loss_x, x)),
-        relative_error(gg, numeric_grad(loss_g, gamma)),
-        relative_error(gb, numeric_grad(loss_b, beta)),
+    return _worst(
+        rng,
+        lambda x, g, b: ops.batchnorm_infer(_t(x), bn(g, b)).data,
+        lambda x, g, b, proj: autodiff.batchnorm_backward(_t(x), bn(g, b), proj),
+        x,
+        gamma,
+        beta,
     )
 
 
 def _check_shuffle(rng) -> float:
     groups, c = 4, 8
-    x = _rand_x(rng, (1, c, 2, 2, 2))
-    proj = _rand_x(rng, x.shape)
-
-    def loss(xv):
-        y = ops.channel_shuffle(Tensor5D(xv.astype(np.float32)), groups)
-        return float((y.data.astype(np.float64) * proj).sum())
-
-    gx = autodiff.channel_shuffle_backward(proj, groups, c)
-    return relative_error(gx, numeric_grad(loss, x))
+    x = rng.standard_normal((1, c, 2, 2, 2))
+    return _worst(
+        rng,
+        lambda x: ops.channel_shuffle(_t(x), groups).data,
+        lambda x, proj: (autodiff.channel_shuffle_backward(proj, groups, c),),
+        x,
+    )
 
 
 def _check_softmax_xent(rng) -> float:
-    z = _rand_x(rng, 7)
+    z = rng.standard_normal(7)
     label = int(rng.integers(0, 7))
 
     def loss(zv):
@@ -156,11 +145,14 @@ def _check_softmax_xent(rng) -> float:
     return relative_error(grad, numeric_grad(loss, z))
 
 
+_CONV = Conv3DSpec(4, 6, (3, 1, 3), (1, 1, 1), (1, 0, 1))
+_POOL = PoolSpec("max", (2, 2, 2), (2, 2, 2), (0, 0, 0))
+
 _CHECKS = {
-    "conv3d": lambda rng: _check_conv(rng, 1),
-    "conv3d_grouped": lambda rng: _check_conv(rng, 2),
-    "pool_max": lambda rng: _check_pool(rng, "max"),
-    "pool_avg": lambda rng: _check_pool(rng, "avg"),
+    "conv3d": lambda rng: _check_conv(rng, _CONV),
+    "conv3d_grouped": lambda rng: _check_conv(rng, replace(_CONV, groups=2)),
+    "pool_max": lambda rng: _check_pool(rng, _POOL),
+    "pool_avg": lambda rng: _check_pool(rng, replace(_POOL, kind="avg")),
     "relu": _check_relu,
     "batchnorm": _check_batchnorm,
     "shuffle": _check_shuffle,
@@ -176,8 +168,4 @@ def check_op(op: str, trials: int = 20, seed: int = 0) -> float:
         raise ValueError(f"unknown op {op!r}; choose from {OPS}")
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
-    worst = 0.0
-    for k in range(trials):
-        rng = np.random.default_rng((seed << 16) + k)
-        worst = max(worst, _CHECKS[op](rng))
-    return worst
+    return max(_CHECKS[op](np.random.default_rng((seed << 16) + k)) for k in range(trials))

@@ -9,6 +9,7 @@ under 1e-4 and each serves as an oracle for the other.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -19,8 +20,23 @@ from .tensor import Shape5, Tensor5D
 Triple = tuple[int, int, int]
 
 
-def _out_extent(size: int, pad: int, kernel: int, stride: int) -> int:
-    return (size + 2 * pad - kernel) // stride + 1
+def _check_window(spec) -> None:
+    """Kernel, stride and padding rules shared by conv and pool specs."""
+    if any(k < 1 for k in spec.kernel) or any(s < 1 for s in spec.stride):
+        raise ValueError("kernel and stride components must be positive")
+    if any(p < 0 for p in spec.padding):
+        raise ValueError("padding must be nonnegative")
+
+
+def _window_dims(spec, x: Shape5, what: str) -> list[int]:
+    """Output extents (t, h, w) of a conv or pool window sliding over ``x``."""
+    dims = [
+        (s + 2 * p - k) // st + 1
+        for s, p, k, st in zip((x.t, x.h, x.w), spec.padding, spec.kernel, spec.stride)
+    ]
+    if any(d < 1 for d in dims):
+        raise ValueError(f"nonpositive {what} output extent {dims} for input {tuple(x)}")
+    return dims
 
 
 @dataclass(frozen=True)
@@ -42,15 +58,11 @@ class Conv3DSpec:
                 f"channels ({self.in_channels}->{self.out_channels}) "
                 f"not divisible by groups={self.groups}"
             )
-        if any(k < 1 for k in self.kernel) or any(s < 1 for s in self.stride):
-            raise ValueError("kernel and stride components must be positive")
-        if any(p < 0 for p in self.padding):
-            raise ValueError("padding must be nonnegative")
+        _check_window(self)
 
     @property
     def param_count(self) -> int:
-        kt, kh, kw = self.kernel
-        return self.out_channels * (self.in_channels // self.groups) * kt * kh * kw
+        return math.prod(self.weight_shape)
 
     @property
     def weight_shape(self) -> tuple[int, int, int, int, int]:
@@ -59,15 +71,7 @@ class Conv3DSpec:
     def output_shape(self, x: Shape5) -> Shape5:
         if x.c != self.in_channels:
             raise ValueError(f"input has {x.c} channels, spec wants {self.in_channels}")
-        dims = [
-            _out_extent(s, p, k, st)
-            for s, p, k, st in zip(
-                (x.t, x.h, x.w), self.padding, self.kernel, self.stride
-            )
-        ]
-        if any(d < 1 for d in dims):
-            raise ValueError(f"nonpositive conv output extent {dims} for input {tuple(x)}")
-        return Shape5(x.n, self.out_channels, *dims)
+        return Shape5(x.n, self.out_channels, *_window_dims(self, x, "conv"))
 
 
 @dataclass(frozen=True)
@@ -80,19 +84,10 @@ class PoolSpec:
     def __post_init__(self):
         if self.kind not in ("max", "avg"):
             raise ValueError(f"unknown pool kind {self.kind!r}")
-        if any(k < 1 for k in self.kernel) or any(s < 1 for s in self.stride):
-            raise ValueError("kernel and stride components must be positive")
+        _check_window(self)
 
     def output_shape(self, x: Shape5) -> Shape5:
-        dims = [
-            _out_extent(s, p, k, st)
-            for s, p, k, st in zip(
-                (x.t, x.h, x.w), self.padding, self.kernel, self.stride
-            )
-        ]
-        if any(d < 1 for d in dims):
-            raise ValueError(f"nonpositive pool output extent {dims} for input {tuple(x)}")
-        return Shape5(x.n, x.c, *dims)
+        return Shape5(x.n, x.c, *_window_dims(self, x, "pool"))
 
 
 @dataclass
@@ -154,6 +149,12 @@ def _pad_input(x: np.ndarray, padding: Triple, value: float = 0.0) -> np.ndarray
     )
 
 
+def _taps(kernel: Triple):
+    """Kernel offsets in layout order: the row order of ``_im2col`` and the
+    order in which max-pool ties break."""
+    return itertools.product(*map(range, kernel))
+
+
 def _offset_view(
     xp: np.ndarray, offset: Triple, out_dims: Triple, stride: Triple
 ) -> np.ndarray:
@@ -181,7 +182,6 @@ def conv3d_direct(
     out_shape = spec.output_shape(x.shape)
     w = _check_weights(spec, weights)
     xp = _pad_input(x.data.astype(np.float64), spec.padding)
-    kt, kh, kw = spec.kernel
     cg = spec.in_channels // spec.groups
     og = spec.out_channels // spec.groups
     out_dims = (out_shape.t, out_shape.h, out_shape.w)
@@ -190,14 +190,11 @@ def conv3d_direct(
         xg = xp[:, g * cg : (g + 1) * cg]
         wg = w[g * og : (g + 1) * og].astype(np.float64)
         acc = out[:, g * og : (g + 1) * og]
-        for dt in range(kt):
-            for dh in range(kh):
-                for dw in range(kw):
-                    view = _offset_view(xg, (dt, dh, dw), out_dims, spec.stride)
-                    acc += np.einsum("oc,ncthw->nothw", wg[:, :, dt, dh, dw], view)
+        for tap in _taps(spec.kernel):
+            view = _offset_view(xg, tap, out_dims, spec.stride)
+            acc += np.einsum("oc,ncthw->nothw", wg[(..., *tap)], view)
     if counter is not None:
-        kvol = kt * kh * kw
-        counter.add(out_shape.size * cg * kvol, tag)
+        counter.add(out_shape.size * cg * math.prod(spec.kernel), tag)
     return Tensor5D(out.astype(np.float32))
 
 
@@ -206,16 +203,18 @@ def _im2col(
 ) -> np.ndarray:
     """(n, c*kvol, L) patch matrix from a padded input."""
     n, c = xp.shape[:2]
-    kt, kh, kw = kernel
-    ot, oh, ow = out_dims
-    cols = np.empty((n, c, kt * kh * kw, ot, oh, ow), dtype=np.float64)
-    k = 0
-    for dt in range(kt):
-        for dh in range(kh):
-            for dw in range(kw):
-                cols[:, :, k] = _offset_view(xp, (dt, dh, dw), out_dims, stride)
-                k += 1
-    return cols.reshape(n, c * kt * kh * kw, ot * oh * ow)
+    kvol = math.prod(kernel)
+    cols = np.empty((n, c, kvol, *out_dims), dtype=np.float64)
+    for k, tap in enumerate(_taps(kernel)):
+        cols[:, :, k] = _offset_view(xp, tap, out_dims, stride)
+    return cols.reshape(n, c * kvol, math.prod(out_dims))
+
+
+def _col2im(gxp: np.ndarray, part, kernel: Triple, out_dims: Triple, stride: Triple):
+    """Transpose of ``_im2col``: add ``part(k)``, the gradient slice of the
+    k-th tap, into the padded input gradient ``gxp`` in place."""
+    for k, tap in enumerate(_taps(kernel)):
+        _offset_view(gxp, tap, out_dims, stride)[...] += part(k)
 
 
 def conv3d_lowered(
@@ -242,8 +241,7 @@ def conv3d_lowered(
             x.n, og, *out_dims
         )
     if counter is not None:
-        kvol = spec.kernel[0] * spec.kernel[1] * spec.kernel[2]
-        counter.add(out_shape.size * cg * kvol, tag)
+        counter.add(out_shape.size * cg * math.prod(spec.kernel), tag)
     return Tensor5D(out.astype(np.float32))
 
 
@@ -273,26 +271,17 @@ def pool3d(x: Tensor5D, spec: PoolSpec) -> Tensor5D:
     divides by the full kernel volume."""
     out_shape = spec.output_shape(x.shape)
     out_dims = (out_shape.t, out_shape.h, out_shape.w)
-    kt, kh, kw = spec.kernel
     if spec.kind == "max":
-        xp = _pad_input(x.data, spec.padding, value=-np.inf)
-        out = np.full(out_shape, -np.inf, dtype=np.float32)
-        for dt in range(kt):
-            for dh in range(kh):
-                for dw in range(kw):
-                    np.maximum(
-                        out,
-                        _offset_view(xp, (dt, dh, dw), out_dims, spec.stride),
-                        out=out,
-                    )
-        return Tensor5D(out)
-    xp = _pad_input(x.data.astype(np.float64), spec.padding)
-    out = np.zeros(out_shape, dtype=np.float64)
-    for dt in range(kt):
-        for dh in range(kh):
-            for dw in range(kw):
-                out += _offset_view(xp, (dt, dh, dw), out_dims, spec.stride)
-    return Tensor5D((out / (kt * kh * kw)).astype(np.float32))
+        fill, reduce, dtype = -np.inf, np.maximum, np.float32
+    else:
+        fill, reduce, dtype = 0.0, np.add, np.float64
+    xp = _pad_input(x.data.astype(dtype, copy=False), spec.padding, value=fill)
+    out = np.full(out_shape, fill, dtype=dtype)
+    for tap in _taps(spec.kernel):
+        reduce(out, _offset_view(xp, tap, out_dims, spec.stride), out=out)
+    if spec.kind == "avg":
+        out /= math.prod(spec.kernel)
+    return Tensor5D(out.astype(np.float32, copy=False))
 
 
 def batchnorm_infer(x: Tensor5D, p: BatchNormParams) -> Tensor5D:

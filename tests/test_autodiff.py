@@ -24,6 +24,7 @@ from lw3d.autodiff import (
 )
 from lw3d.dataio import synth_clip
 from lw3d.graph import (
+    ARCHS,
     LayerSpec,
     ModuleGraph,
     SplitSpec,
@@ -46,6 +47,19 @@ def toy_dataset(n, classes=2, seed=0):
         (synth_clip(i % classes, classes, TOY_SHAPE[1:], rng), i % classes)
         for i in range(n)
     ]
+
+
+# every pool window the builder emits, at the toy and the canonical input
+BUILDER_POOLS = sorted(
+    {
+        layer.params
+        for arch in ARCHS
+        for shape, width in ((TOY_SHAPE, 0.125), (Shape5(1, 3, 32, 224, 224), 1.0))
+        for layer in build_network(arch, shape, 2, width).layers
+        if layer.kind == "pool"
+    },
+    key=repr,
+)
 
 
 class TestOperatorGradients:
@@ -89,6 +103,22 @@ class TestOperatorGradients:
         expected[0, 0, 0, 0, 0] = 5.0
         assert np.array_equal(gx, expected)
 
+    @pytest.mark.parametrize("spec", BUILDER_POOLS, ids=repr)
+    def test_builder_pool_windows_match_finite_differences(self, spec):
+        assert gradcheck._check_pool(np.random.default_rng(0), spec) <= 1e-2
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            Conv3DSpec(2, 4, (3, 3, 3), (2, 2, 2), (1, 1, 1)),
+            Conv3DSpec(4, 4, (1, 3, 3), (1, 2, 2), (0, 1, 1), 2),
+            Conv3DSpec(4, 6, (3, 1, 1), (2, 1, 1), (1, 0, 0), 2),
+        ],
+        ids=repr,
+    )
+    def test_strided_padded_conv_matches_finite_differences(self, spec):
+        assert gradcheck._check_conv(np.random.default_rng(0), spec) <= 1e-2
+
     def test_avg_pool_spreads_uniformly(self):
         x = Tensor5D(np.zeros((1, 1, 2, 2, 2), dtype=np.float32))
         spec = PoolSpec("avg", (2, 2, 2), (2, 2, 2), (0, 0, 0))
@@ -118,6 +148,39 @@ def tiny_graph():
         LayerSpec("out", "softmax", None, ["pool"]),
     ]
     return ModuleGraph(layers, "i3d", Shape5(2, 2, 4, 6, 6), num_classes=3)
+
+
+class TestBenchmarkHooks:
+    """perfbench swaps ``ops.conv3d_lowered`` for the ``conv3d_direct`` oracle
+    and counts patch bytes by wrapping ``ops._im2col``, both at the module
+    attribute; a call that bypasses either would make those checks vacuous."""
+
+    def test_forward_calls_lowered_conv_through_ops(self, monkeypatch):
+        g = toy_net()
+        real = ops.conv3d_lowered
+        tags = []
+
+        def spy(x, spec, weights, counter=None, tag=None):
+            tags.append(tag)
+            return real(x, spec, weights, counter, tag)
+
+        monkeypatch.setattr(ops, "conv3d_lowered", spy)
+        forward(g, init_params(g, 0), Tensor5D(np.ones(TOY_SHAPE, np.float32)))
+        assert tags == [layer.id for layer in g.layers if layer.kind == "conv"]
+
+    def test_lowered_conv_builds_patches_through_ops(self, monkeypatch):
+        real = ops._im2col
+        channels = []
+
+        def spy(xp, *args):
+            channels.append(xp.shape[1])
+            return real(xp, *args)
+
+        monkeypatch.setattr(ops, "_im2col", spy)
+        spec = Conv3DSpec(4, 6, (3, 3, 3), (1, 1, 1), (1, 1, 1), 2)
+        x = Tensor5D(np.ones((1, 4, 3, 4, 4), np.float32))
+        ops.conv3d_lowered(x, spec, np.ones(spec.weight_shape, np.float32))
+        assert channels == [2, 2]  # one patch matrix per group
 
 
 class TestEndToEndBackward:
@@ -217,6 +280,8 @@ class TestSgd:
             TrainConfig(grad_clip=0.0)
         with pytest.raises(ValueError, match="batch size"):
             TrainConfig(batch_size=0)
+        with pytest.raises(ValueError, match="epochs must be at least 1, got 0"):
+            TrainConfig(epochs=0)
 
 
 class TestWeightFile:

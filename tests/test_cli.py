@@ -89,12 +89,34 @@ class TestNonPositiveCounts:
         assert code == 2
         assert "batch size" in err
 
+    def test_train_toy_zero_epochs(self, capsys, tmp_path):
+        weights = tmp_path / "w.lw3d"
+        code, out, err = run(
+            capsys, "train-toy", *TOY_NET, "--epochs", "0", "--clips-per-class", "1",
+            "--out-dir", str(tmp_path / "data"), "--save-weights", str(weights),
+        )
+        assert code == 2
+        assert "epochs must be at least 1, got 0" in err
+        assert out == ""
+        assert not weights.exists()
+
+    def test_bench_zero_repeat(self, capsys):
+        code, out, err = run(capsys, "bench", *TOY_NET, "--repeat", "0")
+        assert code == 2
+        assert "--repeat" in err
+        assert out == ""
+
 
 MALFORMED_CORPUS = {
     "no-arch.ini": "[network]\ninput = 3x8x32x32\n",
     "no-header.ini": "arch = gsst\ninput = 3x8x32x32\n",
     "two-fields.tsv": "clip.lw3d\t0\n",
+    "ragged.csv": "0.5,0.5\n0.5\n",
+    "non-numeric.csv": "0.5,0.5\nx,0.5\n",
+    "non-integer-labels.csv": "0\nx\n",
 }
+# a well-formed score file, for the fuse inputs that are not under test
+SCORES = "scores.csv"
 
 
 @pytest.mark.parametrize(
@@ -104,14 +126,25 @@ MALFORMED_CORPUS = {
         ("no-header.ini", ("analyze", "--config")),
         ("two-fields.tsv", ("infer", *TOY_NET, "--manifest")),
         ("two-fields.tsv", ("train-toy", *TOY_NET, "--data")),
+        ("ragged.csv", ("fuse", "--scores-b", SCORES, "--scores-a")),
+        ("non-numeric.csv", ("fuse", "--scores-a", SCORES, "--scores-b")),
+        (
+            "non-integer-labels.csv",
+            ("fuse", "--scores-a", SCORES, "--scores-b", SCORES, "--labels"),
+        ),
     ],
 )
 def test_malformed_file_is_one_line_data_error(capsys, tmp_path, name, argv):
     path = tmp_path / name
     path.write_text(MALFORMED_CORPUS[name])
-    code, _, err = run(capsys, *argv, str(path))
+    (tmp_path / SCORES).write_text("0.5,0.5\n0.4,0.6\n")
+    argv = [str(tmp_path / a) if a == SCORES else a for a in argv]
+    code, out, err = run(capsys, *argv, str(path))
     assert code == 2
+    assert out == ""
     assert str(path) in err
+    if name.endswith(".csv"):
+        assert ": line 2: " in err  # every csv fault sits on its second line
     assert "Traceback" not in err
     assert len(err.strip().splitlines()) == 1
 

@@ -263,6 +263,10 @@ class TestPooling:
         with pytest.raises(ValueError):
             PoolSpec("median", (2, 2, 2))
 
+    def test_rejects_negative_padding(self):
+        with pytest.raises(ValueError, match="padding must be nonnegative"):
+            PoolSpec("max", (3, 3, 3), (1, 1, 1), (-1, 0, 0))
+
 
 class TestBatchNorm:
     def test_hand_evaluated_formula(self):
