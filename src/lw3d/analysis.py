@@ -9,6 +9,8 @@ The classifier layer is excluded from report totals.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
 from dataclasses import dataclass, field
@@ -71,12 +73,11 @@ def _layer_params(layer, include_bn_params: bool) -> int:
 
 
 def _layer_flops(layer, out_shape: Shape5) -> int:
-    sites = out_shape.c * out_shape.t * out_shape.h * out_shape.w  # batch excluded
+    one = out_shape._replace(n=1)  # batch excluded
     if layer.kind == "conv":
-        s = layer.params
-        return sites * (s.in_channels // s.groups) * math.prod(s.kernel)
+        return layer.params.macs(one)
     if layer.kind == "pool":
-        return sites * math.prod(layer.params.kernel)
+        return one.size * math.prod(layer.params.kernel)
     return 0
 
 
@@ -236,17 +237,15 @@ def emit_report(r: CostReport, fmt: str = "table") -> str:
             lines.append(f"# {note}")
         return "\n".join(lines) + "\n"
     if fmt == "csv":
-        lines = ["row,params_m,flops_g,params,flops"]
-        for row in r.rows:
-            lines.append(
-                f"{row.key},{format_millions(row.params)},"
-                f"{format_giga(row.flops)},{row.params},{row.flops}"
-            )
-        lines.append(
-            f"total,{format_millions(r.total_params)},"
-            f"{format_giga(r.total_flops)},{r.total_params},{r.total_flops}"
-        )
-        return "\n".join(lines) + "\n"
+        # the builder's notes follow the totals as ``note,<text>`` rows
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(["row", "params_m", "flops_g", "params", "flops"])
+        rows = [(row.key, row.params, row.flops) for row in r.rows]
+        for key, p, f in rows + [("total", r.total_params, r.total_flops)]:
+            writer.writerow([key, format_millions(p), format_giga(f), p, f])
+        writer.writerows(["note", note] for note in r.notes)
+        return out.getvalue()
     if fmt == "json":
         payload = {
             "convention": r.convention,

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import ops, tensor
 from .graph import LayerSpec, ModuleGraph, parameterized_layers
-from .ops import BatchNormParams, Conv3DSpec, MacCounter, PoolSpec
+from .ops import COMPUTE, BatchNormParams, Conv3DSpec, MacCounter, PoolSpec
 from .tensor import Shape5, Tensor5D
 
 
@@ -29,14 +29,15 @@ def conv3d_backward(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Input and weight gradients of the bias-free convolution."""
     out_shape = spec.output_shape(x.shape)
-    w = np.asarray(weights, dtype=np.float64)
-    g = np.asarray(gout, dtype=np.float64).reshape(out_shape)
-    xp = ops._pad_input(x.data.astype(np.float64), spec.padding)
+    # operands already in COMPUTE keep einsum off its slower casting path
+    w = np.asarray(weights, dtype=COMPUTE)
+    g = np.asarray(gout, dtype=COMPUTE).reshape(out_shape)
+    xp = ops._pad_input(x.data, spec.padding)
     cg = spec.in_channels // spec.groups
     og = spec.out_channels // spec.groups
     out_dims = (out_shape.t, out_shape.h, out_shape.w)
-    gxp = np.zeros_like(xp)
-    gw = np.empty_like(w)
+    gxp = np.zeros(xp.shape, COMPUTE)
+    gw = np.empty(w.shape, COMPUTE)
     for gi in range(spec.groups):
         cs, os_ = slice(gi * cg, (gi + 1) * cg), slice(gi * og, (gi + 1) * og)
         cols = ops._im2col(xp[:, cs], spec.kernel, out_dims, spec.stride)
@@ -56,39 +57,36 @@ def pool3d_backward(x: Tensor5D, spec: PoolSpec, gout: np.ndarray) -> np.ndarray
     """Max pooling routes each window's gradient to the first maximal element
     in layout order; average pooling spreads it over the full kernel volume."""
     out_shape = spec.output_shape(x.shape)
-    g = np.asarray(gout, dtype=np.float64).reshape(out_shape)
+    g = np.asarray(gout, dtype=COMPUTE).reshape(out_shape)
     out_dims = (out_shape.t, out_shape.h, out_shape.w)
+    xp = ops._pad_input(x.data, spec.padding, value=-np.inf)
+    gxp = np.zeros(xp.shape, COMPUTE)
     if spec.kind == "avg":
-        gxp = np.zeros(ops._pad_input(x.data, spec.padding).shape, dtype=np.float64)
         share = g / math.prod(spec.kernel)
         ops._col2im(gxp, lambda k: share, spec.kernel, out_dims, spec.stride)
         return _unpad(gxp, spec.padding)
-    xp = ops._pad_input(x.data.astype(np.float64), spec.padding, value=-np.inf)
-    best = np.full(out_shape, -np.inf, dtype=np.float64)
+    best = np.full(out_shape, -np.inf, dtype=xp.dtype)
     best_k = np.zeros(out_shape, dtype=np.int32)
     for k, tap in enumerate(ops._taps(spec.kernel)):
         view = ops._offset_view(xp, tap, out_dims, spec.stride)
         mask = view > best
         best[mask] = view[mask]
         best_k[mask] = k
-    gxp = np.zeros_like(xp)
     ops._col2im(gxp, lambda k: g * (best_k == k), spec.kernel, out_dims, spec.stride)
     return _unpad(gxp, spec.padding)
 
 
 def relu_backward(x: Tensor5D, gout: np.ndarray) -> np.ndarray:
-    return np.asarray(gout, dtype=np.float64) * (x.data > 0)
+    return np.asarray(gout, dtype=COMPUTE) * (x.data > 0)
 
 
 def batchnorm_backward(
     x: Tensor5D, p: BatchNormParams, gout: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gradients with frozen mean/variance: input, gamma, beta."""
-    g = np.asarray(gout, dtype=np.float64).reshape(x.data.shape)
+    g = np.asarray(gout, dtype=COMPUTE).reshape(x.data.shape)
     inv = 1.0 / np.sqrt(p.var + p.eps)
-    xhat = (x.data.astype(np.float64) - p.mean.reshape(1, -1, 1, 1, 1)) * inv.reshape(
-        1, -1, 1, 1, 1
-    )
+    xhat = (x.data - p.mean.reshape(1, -1, 1, 1, 1)) * inv.reshape(1, -1, 1, 1, 1)
     gx = g * (p.gamma * inv).reshape(1, -1, 1, 1, 1)
     ggamma = (g * xhat).sum(axis=(0, 2, 3, 4))
     gbeta = g.sum(axis=(0, 2, 3, 4))
@@ -97,15 +95,15 @@ def batchnorm_backward(
 
 def channel_shuffle_backward(gout: np.ndarray, groups: int, channels: int) -> np.ndarray:
     """Transpose of the shuffle permutation: shuffle with c/groups groups,
-    done in float64 so the gradient is permuted exactly."""
-    g = np.asarray(gout, dtype=np.float64)
+    done in the compute dtype so the gradient is permuted exactly."""
+    g = np.asarray(gout, dtype=COMPUTE)
     per = channels // groups
     return g.reshape(g.shape[0], per, groups, *g.shape[2:]).swapaxes(1, 2).reshape(g.shape)
 
 
 def softmax_xent(logits: np.ndarray, label: int) -> tuple[float, np.ndarray]:
     """Fused softmax + cross-entropy on one logit vector: loss and gradient."""
-    z = np.asarray(logits, dtype=np.float64)
+    z = np.asarray(logits, dtype=COMPUTE)
     z = z - z.max()
     p = np.exp(z)
     p /= p.sum()
@@ -129,7 +127,7 @@ class Parameter:
     @classmethod
     def of(cls, value: np.ndarray) -> "Parameter":
         v = np.asarray(value, dtype=np.float32)
-        return cls(v, np.zeros(v.shape, np.float64), np.zeros(v.shape, np.float64))
+        return cls(v, np.zeros(v.shape, COMPUTE), np.zeros(v.shape, COMPUTE))
 
 
 @dataclass
@@ -266,7 +264,7 @@ def forward(
         elif layer.kind == "bn":
             st = p.bn[layer.id]
             if calibrate:
-                d = a.data.astype(np.float64)
+                d = a.data.astype(COMPUTE)
                 st.mean = d.mean(axis=(0, 2, 3, 4)).astype(np.float32)
                 # floor keeps 1/sqrt(var) from amplifying noise channels
                 st.var = np.maximum(d.var(axis=(0, 2, 3, 4)), 1e-2).astype(np.float32)
@@ -290,7 +288,7 @@ def forward(
 
 def predict_scores(g: ModuleGraph, acts: dict[str, Tensor5D]) -> np.ndarray:
     """Per-clip class scores: softmax output averaged over remaining sites."""
-    y = acts[g.output_id].data.astype(np.float64)
+    y = acts[g.output_id].data.astype(COMPUTE)
     return y.mean(axis=(2, 3, 4))
 
 
@@ -312,7 +310,7 @@ def backward(
     if out_layer.kind != "softmax":
         raise ValueError("graph must end in a softmax layer")
     logits_ref = out_layer.inputs[0]
-    z = _resolve(acts, g, logits_ref).data.astype(np.float64)
+    z = _resolve(acts, g, logits_ref).data.astype(COMPUTE)
     n, nc = z.shape[:2]
     sites = z.shape[2] * z.shape[3] * z.shape[4]
     zz = z.reshape(n, nc, sites)
@@ -332,7 +330,7 @@ def backward(
     def add_to(ref: str, val: np.ndarray):
         base, channels = g.port(ref)
         if base not in grads:
-            grads[base] = np.zeros(tuple(acts[base].shape), dtype=np.float64)
+            grads[base] = np.zeros(tuple(acts[base].shape), dtype=COMPUTE)
         grads[base][:, channels] += val
 
     add_to(logits_ref, seed)
@@ -408,9 +406,7 @@ def sgd_step(params: list[Parameter], cfg: TrainConfig) -> None:
             p.grad *= cfg.grad_clip / norm
         p.momentum *= cfg.momentum
         p.momentum += p.grad
-        p.value = (p.value.astype(np.float64) - cfg.learning_rate * p.momentum).astype(
-            np.float32
-        )
+        p.value = (p.value - cfg.learning_rate * p.momentum).astype(np.float32)
         p.grad[...] = 0.0
 
 

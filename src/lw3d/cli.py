@@ -15,7 +15,7 @@ import time
 
 import numpy as np
 
-from . import analysis, autodiff, dataio, fusion, graph, tensor
+from . import analysis, autodiff, dataio, fusion, gradcheck, graph, tensor
 from .tensor import Shape5, Tensor5D
 
 EXIT_USAGE = 1
@@ -127,7 +127,9 @@ def _csv_cell(path, line: int, text: str, parse, message: str):
 
 def _read_scores_csv(path) -> np.ndarray:
     rows = _csv_rows(path)
-    width = len(rows[0][1]) if rows else 0
+    if not rows:
+        raise ValueError(f"{path}: no score rows")
+    width = len(rows[0][1])
     scores = []
     for line, row in rows:
         if len(row) != width:
@@ -164,6 +166,8 @@ def cmd_fuse(args) -> int:
 
 
 def cmd_synth_data(args) -> int:
+    if args.clips_per_class < 1:
+        raise ValueError(f"--clips-per-class must be at least 1, got {args.clips_per_class}")
     shape = graph.parse_shape_arg(args.shape)
     if len(shape) != 4:
         raise ValueError(f"--shape must be CxTxHxW, got {args.shape!r}")
@@ -175,8 +179,6 @@ def cmd_synth_data(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    from . import gradcheck
-
     err = gradcheck.check_op(args.op, trials=args.trials, seed=args.seed)
     print(f"op {args.op}: max relative gradient error {err:.3e} over {args.trials} trials")
     return 0 if err <= 1e-2 else EXIT_DATA
@@ -248,15 +250,13 @@ def cmd_infer(args) -> int:
 def cmd_bench(args) -> int:
     if args.repeat < 1:
         raise ValueError(f"--repeat must be at least 1, got {args.repeat}")
+    if args.batch < 1:
+        raise ValueError(f"--batch must be at least 1, got {args.batch}")
     g = _network_from_args(args)
     shape = g.input_shape
     params = autodiff.init_params(g, args.seed)
     rng = np.random.default_rng(args.seed)
-    x = Tensor5D(
-        rng.standard_normal(
-            (args.batch, shape.c, shape.t, shape.h, shape.w)
-        ).astype(np.float32)
-    )
+    x = Tensor5D(rng.standard_normal((args.batch, shape.c, shape.t, shape.h, shape.w)))
     times = []
     for _ in range(args.repeat):
         t0 = time.perf_counter()
@@ -316,14 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_synth_data)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient check")
-    p.add_argument(
-        "--op",
-        required=True,
-        choices=(
-            "conv3d", "conv3d_grouped", "pool_max", "pool_avg", "relu",
-            "batchnorm", "shuffle", "softmax_xent",
-        ),
-    )
+    p.add_argument("--op", required=True, choices=gradcheck.OPS)
     p.add_argument("--trials", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_gradcheck)

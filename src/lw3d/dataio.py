@@ -63,7 +63,7 @@ def resize_bilinear(clip: Tensor5D, out_h: int, out_w: int) -> Tensor5D:
     top = d[..., y0, :][..., x0] * (1 - wx) + d[..., y0, :][..., x1] * wx
     bot = d[..., y1, :][..., x0] * (1 - wx) + d[..., y1, :][..., x1] * wx
     out = top * (1 - wy) + bot * wy
-    return Tensor5D(out.astype(np.float32))
+    return Tensor5D(out)
 
 
 CROP_SITES = ("top-left", "top-right", "bottom-left", "bottom-right", "center")

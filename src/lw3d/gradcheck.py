@@ -43,7 +43,7 @@ def relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
 
 
 def _t(x: np.ndarray) -> Tensor5D:
-    return Tensor5D(x.astype(np.float32))
+    return Tensor5D(x)
 
 
 def _worst(rng, forward, backward, *points) -> float:

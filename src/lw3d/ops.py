@@ -2,9 +2,13 @@
 
 3D convolution ships as two independent implementations with identical
 contracts: ``conv3d_direct`` accumulates shifted input slices per kernel
-offset, ``conv3d_lowered`` builds a patch matrix and multiplies.  Both
-accumulate in float64 and store float32, so their outputs agree to well
-under 1e-4 and each serves as an oracle for the other.
+offset, ``conv3d_lowered`` builds a patch matrix and multiplies.  Their
+outputs agree to well under 1e-4, so each serves as an oracle for the other.
+
+``COMPUTE`` is the one owner of the accumulation dtype: patch matrices, avg
+pooling, batch norm, softmax and every gradient in ``autodiff`` use it.  The
+``Tensor5D`` constructor is the one float32 store, and numpy's promotion does
+every other cast.  Only the oracle ``conv3d_direct`` names its own dtype.
 """
 
 from __future__ import annotations
@@ -18,6 +22,8 @@ import numpy as np
 from .tensor import Shape5, Tensor5D
 
 Triple = tuple[int, int, int]
+
+COMPUTE = np.float64
 
 
 def _check_window(spec) -> None:
@@ -73,6 +79,10 @@ class Conv3DSpec:
             raise ValueError(f"input has {x.c} channels, spec wants {self.in_channels}")
         return Shape5(x.n, self.out_channels, *_window_dims(self, x, "conv"))
 
+    def macs(self, out: Shape5) -> int:
+        """Multiply-accumulates that produce the output ``out``."""
+        return out.size * (self.in_channels // self.groups) * math.prod(self.kernel)
+
 
 @dataclass(frozen=True)
 class PoolSpec:
@@ -101,10 +111,9 @@ class BatchNormParams:
     eps: float = 1e-5
 
     def __post_init__(self):
-        self.gamma = np.asarray(self.gamma, dtype=np.float64).ravel()
-        self.beta = np.asarray(self.beta, dtype=np.float64).ravel()
-        self.mean = np.asarray(self.mean, dtype=np.float64).ravel()
-        self.var = np.asarray(self.var, dtype=np.float64).ravel()
+        # COMPUTE vectors keep var + eps out of float32 under numpy's weak scalars
+        for name in ("gamma", "beta", "mean", "var"):
+            setattr(self, name, np.asarray(getattr(self, name), dtype=COMPUTE).ravel())
         c = len(self.gamma)
         if not (len(self.beta) == len(self.mean) == len(self.var) == c):
             raise ValueError("batch-norm vectors must share one length")
@@ -194,17 +203,15 @@ def conv3d_direct(
             view = _offset_view(xg, tap, out_dims, spec.stride)
             acc += np.einsum("oc,ncthw->nothw", wg[(..., *tap)], view)
     if counter is not None:
-        counter.add(out_shape.size * cg * math.prod(spec.kernel), tag)
-    return Tensor5D(out.astype(np.float32))
+        counter.add(spec.macs(out_shape), tag)
+    return Tensor5D(out)
 
 
-def _im2col(
-    xp: np.ndarray, kernel: Triple, out_dims: Triple, stride: Triple
-) -> np.ndarray:
+def _im2col(xp: np.ndarray, kernel: Triple, out_dims: Triple, stride: Triple) -> np.ndarray:
     """(n, c*kvol, L) patch matrix from a padded input."""
     n, c = xp.shape[:2]
     kvol = math.prod(kernel)
-    cols = np.empty((n, c, kvol, *out_dims), dtype=np.float64)
+    cols = np.empty((n, c, kvol, *out_dims), dtype=COMPUTE)
     for k, tap in enumerate(_taps(kernel)):
         cols[:, :, k] = _offset_view(xp, tap, out_dims, stride)
     return cols.reshape(n, c * kvol, math.prod(out_dims))
@@ -227,22 +234,18 @@ def conv3d_lowered(
     """Convolution by patch-matrix lowering and matrix multiply."""
     out_shape = spec.output_shape(x.shape)
     w = _check_weights(spec, weights)
-    xp = _pad_input(x.data.astype(np.float64), spec.padding)
+    xp = _pad_input(x.data, spec.padding)
     cg = spec.in_channels // spec.groups
     og = spec.out_channels // spec.groups
     out_dims = (out_shape.t, out_shape.h, out_shape.w)
-    out = np.empty(out_shape, dtype=np.float64)
+    out = np.empty(out_shape, dtype=np.float32)
     for g in range(spec.groups):
-        cols = _im2col(
-            xp[:, g * cg : (g + 1) * cg], spec.kernel, out_dims, spec.stride
-        )
-        wmat = w[g * og : (g + 1) * og].reshape(og, -1).astype(np.float64)
-        out[:, g * og : (g + 1) * og] = (wmat @ cols).reshape(
-            x.n, og, *out_dims
-        )
+        cols = _im2col(xp[:, g * cg : (g + 1) * cg], spec.kernel, out_dims, spec.stride)
+        wmat = w[g * og : (g + 1) * og].reshape(og, -1)
+        out[:, g * og : (g + 1) * og] = (wmat @ cols).reshape(x.n, og, *out_dims)
     if counter is not None:
-        counter.add(out_shape.size * cg * math.prod(spec.kernel), tag)
-    return Tensor5D(out.astype(np.float32))
+        counter.add(spec.macs(out_shape), tag)
+    return Tensor5D(out)
 
 
 def _check_weights(spec: Conv3DSpec, weights: np.ndarray) -> np.ndarray:
@@ -274,14 +277,14 @@ def pool3d(x: Tensor5D, spec: PoolSpec) -> Tensor5D:
     if spec.kind == "max":
         fill, reduce, dtype = -np.inf, np.maximum, np.float32
     else:
-        fill, reduce, dtype = 0.0, np.add, np.float64
-    xp = _pad_input(x.data.astype(dtype, copy=False), spec.padding, value=fill)
+        fill, reduce, dtype = 0.0, np.add, COMPUTE
+    xp = _pad_input(x.data, spec.padding, value=fill)
     out = np.full(out_shape, fill, dtype=dtype)
     for tap in _taps(spec.kernel):
         reduce(out, _offset_view(xp, tap, out_dims, spec.stride), out=out)
     if spec.kind == "avg":
         out /= math.prod(spec.kernel)
-    return Tensor5D(out.astype(np.float32, copy=False))
+    return Tensor5D(out)
 
 
 def batchnorm_infer(x: Tensor5D, p: BatchNormParams) -> Tensor5D:
@@ -289,15 +292,15 @@ def batchnorm_infer(x: Tensor5D, p: BatchNormParams) -> Tensor5D:
         raise ValueError(f"batch-norm has {len(p.gamma)} channels, input has {x.c}")
     scale = (p.gamma / np.sqrt(p.var + p.eps)).reshape(1, -1, 1, 1, 1)
     shift = (p.beta - p.mean * p.gamma / np.sqrt(p.var + p.eps)).reshape(1, -1, 1, 1, 1)
-    return Tensor5D((x.data.astype(np.float64) * scale + shift).astype(np.float32))
+    return Tensor5D(x.data * scale + shift)
 
 
 def softmax_channels(x: Tensor5D) -> Tensor5D:
     """Exp-normalize over the channel axis at every (n, t, h, w) site."""
-    z = x.data.astype(np.float64)
+    z = x.data.astype(COMPUTE)
     z = z - z.max(axis=1, keepdims=True)
     e = np.exp(z)
-    return Tensor5D((e / e.sum(axis=1, keepdims=True)).astype(np.float32))
+    return Tensor5D(e / e.sum(axis=1, keepdims=True))
 
 
 def glorot_uniform(spec: Conv3DSpec, rng: np.random.Generator) -> np.ndarray:

@@ -92,7 +92,7 @@ def zeros(shape: Shape5 | tuple) -> Tensor5D:
 
 
 def from_array(a: np.ndarray) -> Tensor5D:
-    return Tensor5D(np.asarray(a, dtype=np.float32).reshape(a.shape))
+    return Tensor5D(np.asarray(a))
 
 
 def concat_channels(parts: Sequence[Tensor5D]) -> Tensor5D:

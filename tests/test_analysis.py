@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 
 import numpy as np
@@ -223,6 +225,14 @@ class TestReportRendering:
         payload = json.loads(emit_report(report, "json"))
         assert payload["total"]["params"] == report.total_params
         assert any(n.startswith("4f:") for n in payload["notes"])
+
+    def test_csv_carries_builder_notes(self):
+        report = analyze(build_network("sst", CANONICAL))
+        rows = list(csv.reader(io.StringIO(emit_report(report, "csv"))))
+        assert rows[-1 - len(report.notes)][0] == "total"
+        notes = [row for row in rows if row[0] == "note"]
+        assert [text for _, text in notes] == report.notes
+        assert any(text.startswith("4f:") for _, text in notes)
 
     def test_unknown_format_rejected(self):
         report = analyze(build_network("i3d", CANONICAL))

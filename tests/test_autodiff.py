@@ -62,6 +62,43 @@ BUILDER_POOLS = sorted(
 )
 
 
+DTYPE_X = Tensor5D(np.random.default_rng(1).standard_normal((2, 4, 3, 4, 4)))
+DTYPE_CONV = Conv3DSpec(4, 6, (3, 1, 3), (1, 1, 1), (1, 0, 1), groups=2)
+DTYPE_W = np.random.default_rng(0).standard_normal(DTYPE_CONV.weight_shape).astype(np.float32)
+DTYPE_BN = ops.BatchNormParams(
+    *(np.full(4, v, dtype=np.float32) for v in (1.5, 0.1, 0.2, 0.9))
+)
+DTYPE_POOL = PoolSpec("max", (2, 3, 3), (1, 2, 2), (0, 1, 1))
+DTYPE_AVG_POOL = dataclasses.replace(DTYPE_POOL, kind="avg")
+
+# name: (forward, backward or None); every backward returns a tuple
+OPERATORS = {
+    "conv3d_lowered": (
+        lambda x: ops.conv3d_lowered(x, DTYPE_CONV, DTYPE_W),
+        lambda x, g: autodiff.conv3d_backward(x, DTYPE_CONV, DTYPE_W, g),
+    ),
+    "conv3d_direct": (lambda x: ops.conv3d_direct(x, DTYPE_CONV, DTYPE_W), None),
+    "pool_max": (
+        lambda x: ops.pool3d(x, DTYPE_POOL),
+        lambda x, g: (autodiff.pool3d_backward(x, DTYPE_POOL, g),),
+    ),
+    "pool_avg": (
+        lambda x: ops.pool3d(x, DTYPE_AVG_POOL),
+        lambda x, g: (autodiff.pool3d_backward(x, DTYPE_AVG_POOL, g),),
+    ),
+    "batchnorm": (
+        lambda x: ops.batchnorm_infer(x, DTYPE_BN),
+        lambda x, g: autodiff.batchnorm_backward(x, DTYPE_BN, g),
+    ),
+    "relu": (tensor.relu, lambda x, g: (autodiff.relu_backward(x, g),)),
+    "shuffle": (
+        lambda x: ops.channel_shuffle(x, 2),
+        lambda x, g: (autodiff.channel_shuffle_backward(g, 2, x.c),),
+    ),
+    "softmax": (ops.softmax_channels, None),
+}
+
+
 class TestOperatorGradients:
     """Finite-difference checks per operator; the acceptance suite runs the
     full 20-trial sweep, these keep each op honest at lower cost."""
@@ -79,17 +116,28 @@ class TestOperatorGradients:
         redone = ops.channel_shuffle(Tensor5D(gx.astype(np.float32)), 4)
         assert np.array_equal(redone.data, gout)
 
-    def test_shuffle_gradient_keeps_float64_exact(self):
+    def test_shuffle_gradient_is_exact_in_compute_dtype(self):
         rng = np.random.default_rng(1)
-        gout = rng.standard_normal((2, 12, 2, 3, 3))  # float64, not float32-exact
+        gout = rng.standard_normal((2, 12, 2, 3, 3)).astype(ops.COMPUTE)
         # perm[k] is the input channel that the forward shuffle puts at k
         ramp = np.arange(12, dtype=np.float32).reshape(1, 12, 1, 1, 1)
         perm = ops.channel_shuffle(Tensor5D(ramp), 4).data.ravel().astype(int)
         expected = np.empty_like(gout)
         expected[:, perm] = gout
-        gx = autodiff.channel_shuffle_backward(gout, 4, 12)
-        assert gx.dtype == np.float64
-        assert np.array_equal(gx, expected)
+        assert np.array_equal(autodiff.channel_shuffle_backward(gout, 4, 12), expected)
+
+    @pytest.mark.parametrize("gout_dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("op", OPERATORS)
+    def test_dtype_contract(self, op, gout_dtype):
+        """Forwards store float32; backwards return ``ops.COMPUTE`` even from
+        float32 weights, batch-norm vectors and output gradients."""
+        forward, backward = OPERATORS[op]
+        y = forward(DTYPE_X)
+        assert y.data.dtype == np.float32
+        if backward is not None:
+            gout = np.random.default_rng(2).standard_normal(y.shape).astype(gout_dtype)
+            for grad in backward(DTYPE_X, gout):
+                assert grad.dtype == ops.COMPUTE
 
     def test_check_op_rejects_zero_trials(self):
         with pytest.raises(ValueError, match="at least one trial"):

@@ -106,6 +106,35 @@ class TestNonPositiveCounts:
         assert "--repeat" in err
         assert out == ""
 
+    def test_bench_zero_batch(self, capsys):
+        code, out, err = run(capsys, "bench", *TOY_NET, "--batch", "0")
+        assert code == 2
+        assert "--batch must be at least 1, got 0" in err
+        assert len(err.strip().splitlines()) == 1
+        assert out == ""
+
+    def test_synth_data_zero_clips_per_class(self, capsys, tmp_path):
+        out_dir = tmp_path / "data"
+        code, out, err = run(
+            capsys, "synth-data", "--clips-per-class", "0", "--out", str(out_dir)
+        )
+        assert code == 2
+        assert "--clips-per-class must be at least 1, got 0" in err
+        assert len(err.strip().splitlines()) == 1
+        assert out == ""
+        assert not out_dir.exists()
+
+    def test_fuse_empty_score_file(self, capsys, tmp_path):
+        empty = tmp_path / "empty.csv"
+        empty.write_text("")
+        code, out, err = run(
+            capsys, "fuse", "--scores-a", str(empty), "--scores-b", str(empty)
+        )
+        assert code == 2
+        assert f"{empty}: no score rows" in err
+        assert len(err.strip().splitlines()) == 1
+        assert out == ""
+
 
 MALFORMED_CORPUS = {
     "no-arch.ini": "[network]\ninput = 3x8x32x32\n",
