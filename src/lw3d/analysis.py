@@ -12,15 +12,17 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .graph import (
     WIDTH_TABLE,
+    LayerSpec,
     ModuleGraph,
     build_inception_module,
     infer_shapes,
 )
+from .ops import Conv3DSpec
 from .tensor import Shape5
 
 CONVENTION = (
@@ -73,62 +75,56 @@ def _layer_params(layer, include_bn_params: bool) -> int:
 
 
 def _layer_flops(layer, out_shape: Shape5) -> int:
-    one = out_shape._replace(n=1)  # batch excluded
-    if layer.kind == "conv":
-        return layer.params.macs(one)
-    if layer.kind == "pool":
-        return one.size * math.prod(layer.params.kernel)
+    if layer.kind in ("conv", "pool"):
+        return layer.params.macs(out_shape._replace(n=1))  # batch excluded
     return 0
 
 
-def _aggregate(
-    g: ModuleGraph,
-    include_bn_params: bool,
-    with_flops: bool,
-    input_shape: Shape5 | None = None,
-) -> dict[str, tuple[int, int]]:
-    shapes = infer_shapes(g, input_shape) if with_flops else {}
+class _LayerCost(NamedTuple):
+    layer: LayerSpec
+    params: int
+    flops: int
+
+
+def _layer_costs(
+    g: ModuleGraph, include_bn_params: bool = False, input_shape: Shape5 | None = None
+) -> list[_LayerCost]:
+    """The one cost walk: every non-input layer's parameters and FLOPs."""
+    shapes = infer_shapes(g, input_shape)
+    return [
+        _LayerCost(
+            layer, _layer_params(layer, include_bn_params), _layer_flops(layer, shapes[layer.id])
+        )
+        for layer in g.layers
+        if layer.kind != "input"
+    ]
+
+
+def _to_report(g: ModuleGraph, costs: list[_LayerCost]) -> CostReport:
     agg: dict[str, tuple[int, int]] = {}
-    for layer in g.layers:
-        if layer.kind == "input":
-            continue
-        key = layer.row or layer.id
-        p = _layer_params(layer, include_bn_params)
-        f = _layer_flops(layer, shapes[layer.id]) if with_flops else 0
+    for c in costs:
+        key = c.layer.row or c.layer.id
         old = agg.get(key, (0, 0))
-        agg[key] = (old[0] + p, old[1] + f)
-    return agg
-
-
-def _to_report(g: ModuleGraph, agg: dict[str, tuple[int, int]]) -> CostReport:
+        agg[key] = (old[0] + c.params, old[1] + c.flops)
     known = dict(NETWORK_ROWS)
-    rows = []
-    for key, _label in NETWORK_ROWS:
-        if key in agg:
-            rows.append(CostRow(key, known[key], *agg[key]))
-    for key in agg:
-        if key not in known:
-            rows.append(CostRow(key, key, *agg[key]))
+    rows = [CostRow(key, label, *agg[key]) for key, label in NETWORK_ROWS if key in agg]
+    rows += [CostRow(key, key, *agg[key]) for key in agg if key not in known]
     tp = sum(r.params for r in rows if r.key not in TOTAL_EXCLUDED_ROWS)
     tf = sum(r.flops for r in rows if r.key not in TOTAL_EXCLUDED_ROWS)
     return CostReport(rows, tp, tf, notes=list(g.notes))
 
 
 def count_params(g: ModuleGraph, include_bn_params: bool = False) -> CostReport:
-    return _to_report(g, _aggregate(g, include_bn_params, with_flops=False))
+    return _to_report(g, [c._replace(flops=0) for c in _layer_costs(g, include_bn_params)])
 
 
 def count_flops(g: ModuleGraph, input_shape: Shape5 | None = None) -> CostReport:
-    if input_shape is not None:
-        input_shape = Shape5(*input_shape)
-    return _to_report(g, _aggregate(g, False, with_flops=True, input_shape=input_shape))
+    return _to_report(g, _layer_costs(g, input_shape=input_shape))
 
 
-def analyze(
-    g: ModuleGraph, include_bn_params: bool = False
-) -> CostReport:
+def analyze(g: ModuleGraph, include_bn_params: bool = False) -> CostReport:
     """Combined per-row parameter and FLOP report for a network graph."""
-    return _to_report(g, _aggregate(g, include_bn_params, with_flops=True))
+    return _to_report(g, _layer_costs(g, include_bn_params))
 
 
 def module_cost(
@@ -139,36 +135,25 @@ def module_cost(
 ) -> dict:
     """Cost of a single inception-style module, split into its two stages
     (stage one: the pointwise layer row and pool; stage two: the rest)."""
-    widths = WIDTH_TABLE[module]
     g = build_inception_module(
-        widths, variant, in_channels, name=module,
+        WIDTH_TABLE[module], variant, in_channels, name=module,
         input_shape=Shape5(1, in_channels, *sites),
     )
-    shapes = infer_shapes(g)
-    out = {
+    costs = _layer_costs(g)
+
+    def total(what: str, stage: str | None = None) -> int:
+        return sum(getattr(c, what) for c in costs if stage in (None, c.layer.stage))
+
+    return {
         "variant": variant,
         "module": module,
-        "params": 0,
-        "flops": 0,
-        "stage_one_params": 0,
-        "stage_two_params": 0,
-        "stage_one_flops": 0,
-        "stage_two_flops": 0,
+        "params": total("params"),
+        "flops": total("flops"),
+        "stage_one_params": total("params", "one"),
+        "stage_two_params": total("params", "two"),
+        "stage_one_flops": total("flops", "one"),
+        "stage_two_flops": total("flops", "two"),
     }
-    for layer in g.layers:
-        if layer.kind == "input":
-            continue
-        p = _layer_params(layer, False)
-        f = _layer_flops(layer, shapes[layer.id])
-        out["params"] += p
-        out["flops"] += f
-        if layer.stage == "one":
-            out["stage_one_params"] += p
-            out["stage_one_flops"] += f
-        elif layer.stage == "two":
-            out["stage_two_params"] += p
-            out["stage_two_flops"] += f
-    return out
 
 
 @dataclass
@@ -188,27 +173,31 @@ def compare_factorizations(
 ) -> tuple[list[FactorizationCandidate], str]:
     """The full kxkxk convolution against its four two-layer factorizations
     (temporal/spatial first, width increased early/late).  All layers are
-    stride 1 with same-padding, so FLOPs = params x output sites.
+    stride 1 with same-padding, so every layer outputs ``sites``.
 
     Returns the candidate list and the label of the minimum-parameter one."""
     if k < 1 or k % 2 == 0:
         raise ValueError(f"kernel extent must be odd and positive, got {k}")
-    site_count = math.prod(sites)
-    temporal = (k, 1, 1)
-    spatial = (1, k, k)
+
+    def conv(kernel, ci, co) -> Conv3DSpec:
+        return Conv3DSpec(ci, co, kernel, padding=tuple(e // 2 for e in kernel))
+
+    tp = (k, 1, 1)  # temporal
+    sp = (1, k, k)  # spatial
     structures = {
-        "full3D": [((k, k, k), in_ch, out_ch)],
-        "temporal-first-widen-early": [(temporal, in_ch, out_ch), (spatial, out_ch, out_ch)],
-        "temporal-first-widen-late": [(temporal, in_ch, in_ch), (spatial, in_ch, out_ch)],
-        "spatial-first-widen-early": [(spatial, in_ch, out_ch), (temporal, out_ch, out_ch)],
-        "spatial-first-widen-late": [(spatial, in_ch, in_ch), (temporal, in_ch, out_ch)],
+        "full3D": [conv((k, k, k), in_ch, out_ch)],
+        "temporal-first-widen-early": [conv(tp, in_ch, out_ch), conv(sp, out_ch, out_ch)],
+        "temporal-first-widen-late": [conv(tp, in_ch, in_ch), conv(sp, in_ch, out_ch)],
+        "spatial-first-widen-early": [conv(sp, in_ch, out_ch), conv(tp, out_ch, out_ch)],
+        "spatial-first-widen-late": [conv(sp, in_ch, in_ch), conv(tp, in_ch, out_ch)],
     }
     candidates = []
-    for label, layers in structures.items():
-        layer_params = [math.prod(kern) * ci * co for kern, ci, co in layers]
-        params = sum(layer_params)
+    for label, specs in structures.items():
+        layers = [(s.kernel, s.in_channels, s.out_channels) for s in specs]
+        layer_params = [s.param_count for s in specs]
+        flops = sum(s.macs(Shape5(1, s.out_channels, *sites)) for s in specs)
         candidates.append(
-            FactorizationCandidate(label, layers, layer_params, params, params * site_count)
+            FactorizationCandidate(label, layers, layer_params, sum(layer_params), flops)
         )
     best = min(candidates, key=lambda c: c.params).label
     return candidates, best

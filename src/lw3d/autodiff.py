@@ -101,15 +101,27 @@ def channel_shuffle_backward(gout: np.ndarray, groups: int, channels: int) -> np
     return g.reshape(g.shape[0], per, groups, *g.shape[2:]).swapaxes(1, 2).reshape(g.shape)
 
 
-def softmax_xent(logits: np.ndarray, label: int) -> tuple[float, np.ndarray]:
-    """Fused softmax + cross-entropy on one logit vector: loss and gradient."""
+def site_xent(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
+    """The training loss and its gradient at the classifier logits.
+
+    Each clip's loss is the cross-entropy of its softmax scores averaged
+    over the logits' sites, ``-log(mean_site p(label))``, taken in fused
+    log-mean-exp form; the loss is the mean over the batch."""
     z = np.asarray(logits, dtype=COMPUTE)
-    z = z - z.max()
-    p = np.exp(z)
-    p /= p.sum()
-    grad = p.copy()
-    grad[label] -= 1.0
-    return float(-math.log(max(p[label], 1e-300))), grad
+    n, nc = z.shape[:2]
+    sites = z.shape[2] * z.shape[3] * z.shape[4]
+    zz = z.reshape(n, nc, sites)
+    logsm = zz - zz.max(axis=1, keepdims=True)
+    logsm -= np.log(np.exp(logsm).sum(axis=1, keepdims=True))  # log softmax
+    ly = logsm[np.arange(n), labels]  # (n, sites) log p(label) per site
+    m = ly.max(axis=1, keepdims=True)
+    sexp = np.exp(ly - m).sum(axis=1, keepdims=True)
+    # loss_i = -log(mean_site p(label)); r = each site's share of that mean
+    loss = float(-(m[:, 0] + np.log(sexp[:, 0]) - math.log(sites)).mean())
+    r = np.exp(ly - m) / sexp  # (n, sites), rows sum to 1
+    gz = np.exp(logsm) * r[:, None, :]
+    gz[np.arange(n), labels] -= r
+    return loss, (gz / n).reshape(z.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -301,30 +313,15 @@ def backward(
     """Cross-entropy loss of the averaged softmax scores; accumulates
     parameter gradients in place and returns the mean loss.
 
-    The loss gradient is seeded directly at the classifier logits in fused
-    log-sum-exp form: differentiating through the stored float32 softmax
+    The loss gradient is seeded directly at the classifier logits by
+    ``site_xent``: differentiating through the stored float32 softmax
     activation underflows to an exact zero gradient once the softmax
     saturates, which would strand training with no way back."""
-    labels = np.asarray(labels)
     out_layer = g.layer(g.output_id)
     if out_layer.kind != "softmax":
         raise ValueError("graph must end in a softmax layer")
     logits_ref = out_layer.inputs[0]
-    z = _resolve(acts, g, logits_ref).data.astype(COMPUTE)
-    n, nc = z.shape[:2]
-    sites = z.shape[2] * z.shape[3] * z.shape[4]
-    zz = z.reshape(n, nc, sites)
-    logsm = zz - zz.max(axis=1, keepdims=True)
-    logsm -= np.log(np.exp(logsm).sum(axis=1, keepdims=True))  # log softmax
-    ly = logsm[np.arange(n), labels]  # (n, sites) log p(label) per site
-    m = ly.max(axis=1, keepdims=True)
-    sexp = np.exp(ly - m).sum(axis=1, keepdims=True)
-    # loss_i = -log(mean_site p(label)); r = each site's share of that mean
-    loss = float(-(m[:, 0] + np.log(sexp[:, 0]) - math.log(sites)).mean())
-    r = np.exp(ly - m) / sexp  # (n, sites), rows sum to 1
-    gz = np.exp(logsm) * r[:, None, :]
-    gz[np.arange(n), labels] -= r
-    seed = (gz / n).reshape(z.shape)
+    loss, seed = site_xent(_resolve(acts, g, logits_ref).data, np.asarray(labels))
     grads: dict[str, np.ndarray] = {}
 
     def add_to(ref: str, val: np.ndarray):

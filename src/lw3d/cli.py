@@ -165,9 +165,15 @@ def cmd_fuse(args) -> int:
     return 0
 
 
+def _check_synth_counts(classes: int, clips_per_class: int) -> None:
+    if clips_per_class < 1:
+        raise ValueError(f"--clips-per-class must be at least 1, got {clips_per_class}")
+    if classes < 2:
+        raise ValueError(f"--classes must be at least 2, got {classes}")
+
+
 def cmd_synth_data(args) -> int:
-    if args.clips_per_class < 1:
-        raise ValueError(f"--clips-per-class must be at least 1, got {args.clips_per_class}")
+    _check_synth_counts(args.classes, args.clips_per_class)
     shape = graph.parse_shape_arg(args.shape)
     if len(shape) != 4:
         raise ValueError(f"--shape must be CxTxHxW, got {args.shape!r}")
@@ -186,23 +192,21 @@ def cmd_gradcheck(args) -> int:
 
 def cmd_train_toy(args) -> int:
     g = _network_from_args(args)
-    shape = g.input_shape
-    if args.data:
-        records = dataio.read_manifest(args.data)
-        dataset = [(dataio.load_clip(r), r.label) for r in records]
-    else:
-        rng_dir = args.out_dir or "toy-data"
-        records = dataio.synth_dataset(
-            g.num_classes, args.clips_per_class,
-            (shape.c, shape.t, shape.h, shape.w), args.seed, rng_dir,
-        )
-        dataset = [(dataio.load_clip(r), r.label) for r in records]
     cfg = autodiff.TrainConfig(
         learning_rate=args.lr,
         epochs=args.epochs,
         batch_size=args.batch,
         plateau_patience=args.patience,
     )
+    if args.data:
+        records = dataio.read_manifest(args.data)
+    else:
+        _check_synth_counts(g.num_classes, args.clips_per_class)
+        records = dataio.synth_dataset(
+            g.num_classes, args.clips_per_class, tuple(g.input_shape)[1:],
+            args.seed, args.out_dir or "toy-data",
+        )
+    dataset = [(dataio.load_clip(r), r.label) for r in records]
     history, params = autodiff.train_toy(g, dataset, cfg, seed=args.seed)
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["epoch", "loss", "accuracy", "lr"])

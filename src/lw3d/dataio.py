@@ -172,7 +172,8 @@ def write_manifest(path, records: list[ClipRecord]) -> None:
 
 def read_manifest(path) -> list[ClipRecord]:
     """Read ``path<TAB>label<TAB>stream<TAB>source`` lines; a malformed line
-    raises a ValueError naming the file and the line."""
+    raises a ValueError naming the file and the line, a manifest without
+    records one naming the file."""
     records = []
     with open(path, encoding="utf-8") as f:
         for lineno, line in enumerate(f, 1):
@@ -191,4 +192,6 @@ def read_manifest(path) -> list[ClipRecord]:
                 raise ValueError(
                     f"{path}: line {lineno}: label {label!r} is not an integer"
                 ) from None
+    if not records:
+        raise ValueError(f"{path}: no clip records")
     return records

@@ -135,14 +135,15 @@ def _check_shuffle(rng) -> float:
 
 
 def _check_softmax_xent(rng) -> float:
-    z = rng.standard_normal(7)
-    label = int(rng.integers(0, 7))
-
-    def loss(zv):
-        return autodiff.softmax_xent(zv, label)[0]
-
-    _, grad = autodiff.softmax_xent(z, label)
-    return relative_error(grad, numeric_grad(loss, z))
+    # two clips over four sites, so the site weights and the batch mean count
+    z = rng.standard_normal((2, 5, 1, 2, 2))
+    labels = rng.integers(0, 5, size=2)
+    return _worst(
+        rng,
+        lambda z: np.asarray(autodiff.site_xent(z, labels)[0]),
+        lambda z, proj: (autodiff.site_xent(z, labels)[1] * proj,),
+        z,
+    )
 
 
 _CONV = Conv3DSpec(4, 6, (3, 1, 3), (1, 1, 1), (1, 0, 1))

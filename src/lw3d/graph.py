@@ -380,9 +380,7 @@ def infer_shapes(g: ModuleGraph, input_shape: Shape5 | None = None) -> dict[str,
                 continue
             ins = [shape_of(r) for r in layer.inputs]
             x = ins[0]
-            if layer.kind == "conv":
-                shapes[layer.id] = layer.params.output_shape(x)
-            elif layer.kind == "pool":
+            if layer.kind in ("conv", "pool"):
                 shapes[layer.id] = layer.params.output_shape(x)
             elif layer.kind == "bn":
                 if x.c != layer.params:

@@ -99,6 +99,10 @@ class PoolSpec:
     def output_shape(self, x: Shape5) -> Shape5:
         return Shape5(x.n, x.c, *_window_dims(self, x, "pool"))
 
+    def macs(self, out: Shape5) -> int:
+        """Kernel-volume operations per element of the output ``out``."""
+        return out.size * math.prod(self.kernel)
+
 
 @dataclass
 class BatchNormParams:

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 
@@ -16,7 +17,7 @@ from lw3d.analysis import (
     format_millions,
     module_cost,
 )
-from lw3d.graph import build_network
+from lw3d.graph import WIDTH_TABLE, build_network
 from lw3d.ops import MacCounter
 from lw3d.tensor import Shape5, Tensor5D
 
@@ -238,3 +239,101 @@ class TestReportRendering:
         report = analyze(build_network("i3d", CANONICAL))
         with pytest.raises(ValueError):
             emit_report(report, "yaml")
+
+
+def text_digest(*parts) -> str:
+    """Hash of the parts' text: ``str`` as is, anything else by ``repr``."""
+    h = hashlib.sha256()
+    for part in parts:
+        h.update((part if isinstance(part, str) else repr(part)).encode())
+    return h.hexdigest()[:16]
+
+
+class TestCostPins:
+    """Every cost output, pinned byte for byte: the rendered reports in all
+    three formats, the count reports, every module cost and the comparator.
+    Width 0.34 carries the builder's notes; a change to the counting that
+    moves any row, total, stage split or note shows up here."""
+
+    NETWORKS = {(3, 32, 224, 224): 1.0, (3, 8, 32, 32): 0.34}
+    REPORT_PINS = {
+        ('i3d', (3, 32, 224, 224), False): 'a3835f111956b37a',
+        ('i3d', (3, 32, 224, 224), True): '64e1a9330b575c7a',
+        ('i3d', (3, 8, 32, 32), False): 'dc97ba0f2ede6f85',
+        ('i3d', (3, 8, 32, 32), True): '66369bbb3855a291',
+        ('ist', (3, 32, 224, 224), False): '6e31f4c59e3263fc',
+        ('ist', (3, 32, 224, 224), True): 'c447be939b9b484b',
+        ('ist', (3, 8, 32, 32), False): 'b6e4a7310bfe82d7',
+        ('ist', (3, 8, 32, 32), True): '8364fb91317bbc17',
+        ('sst', (3, 32, 224, 224), False): '27bae82bd7138211',
+        ('sst', (3, 32, 224, 224), True): '12196a30995cbb85',
+        ('sst', (3, 8, 32, 32), False): 'f44eefeb546df233',
+        ('sst', (3, 8, 32, 32), True): '22f9a67617e2ce8b',
+        ('gsst', (3, 32, 224, 224), False): '3253c32c42ea2625',
+        ('gsst', (3, 32, 224, 224), True): '962fb15bede486da',
+        ('gsst', (3, 8, 32, 32), False): 'd2138d8a57792d4f',
+        ('gsst', (3, 8, 32, 32), True): '884260ca96791088',
+    }
+    COUNT_PINS = {
+        ('i3d', (3, 32, 224, 224)): '571e39311e76ab16',
+        ('i3d', (3, 8, 32, 32)): '3e38e96472dcdbe1',
+        ('ist', (3, 32, 224, 224)): 'a6646f37e284e2c0',
+        ('ist', (3, 8, 32, 32)): '56fd89909f035a0a',
+        ('sst', (3, 32, 224, 224)): 'd73d69be56237e6e',
+        ('sst', (3, 8, 32, 32)): '3b55665dd8bdce88',
+        ('gsst', (3, 32, 224, 224)): '9b3693d082663339',
+        ('gsst', (3, 8, 32, 32)): '30b8ecf00d6b5601',
+    }
+    MODULE_PINS = {
+        'i3d': '72cb383f16ff36a2',
+        'ist': '7793a7f1e9544de9',
+        'sst': '0f17cda309e08328',
+        'gsst': '606b45c3cf9ce798',
+    }
+    FACTORIZATION_PINS = {
+        (96, 208, 3): 'dac14be62a733ce2',
+        (4, 8, 3, (2, 3, 3)): '281e9c6e3b35beef',
+        (16, 32, 5, (4, 7, 7)): '1aa6e4598105f04a',
+        (480, 832, 7): 'c168e8efb5bed3f9',
+        (7, 3, 1, (3, 5, 9)): 'fdfa72f27f2e8f4a',
+    }
+
+    def network(self, arch, shape):
+        mult = self.NETWORKS[shape]
+        return build_network(arch, Shape5(1, *shape), 60 if mult == 1.0 else 4, mult)
+
+    @staticmethod
+    def reports(g, bn):
+        r = analyze(g, include_bn_params=bn)
+        return text_digest(*(emit_report(r, fmt) for fmt in ("table", "csv", "json")))
+
+    @staticmethod
+    def counts(g):
+        longer = g.input_shape._replace(t=2 * g.input_shape.t)
+        return text_digest(
+            count_params(g), count_params(g, include_bn_params=True),
+            count_flops(g), count_flops(g, longer),
+        )
+
+    @staticmethod
+    def modules(variant):
+        return text_digest(
+            *(module_cost(variant, m, cin) for m in WIDTH_TABLE for cin in (256, 480)),
+            module_cost(variant, "4b", 480, (4, 7, 7)),
+        )
+
+    @pytest.mark.parametrize("arch,shape,bn", list(REPORT_PINS))
+    def test_emit_report(self, arch, shape, bn):
+        assert self.reports(self.network(arch, shape), bn) == self.REPORT_PINS[arch, shape, bn]
+
+    @pytest.mark.parametrize("arch,shape", list(COUNT_PINS))
+    def test_count_reports(self, arch, shape):
+        assert self.counts(self.network(arch, shape)) == self.COUNT_PINS[arch, shape]
+
+    @pytest.mark.parametrize("variant", list(MODULE_PINS))
+    def test_module_cost(self, variant):
+        assert self.modules(variant) == self.MODULE_PINS[variant]
+
+    @pytest.mark.parametrize("case", list(FACTORIZATION_PINS))
+    def test_compare_factorizations(self, case):
+        assert text_digest(compare_factorizations(*case)) == self.FACTORIZATION_PINS[case]

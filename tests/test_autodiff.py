@@ -1,6 +1,8 @@
 import dataclasses
+import importlib.util
 import io
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -174,10 +176,13 @@ class TestOperatorGradients:
         assert np.array_equal(gx, np.ones((1, 1, 2, 2, 2)))
 
     def test_softmax_xent_gradient_sums_to_zero(self):
-        loss, grad = autodiff.softmax_xent(np.array([1.0, 2.0, -1.0]), 1)
+        labels = np.array([1, 0])
+        logits = np.random.default_rng(0).standard_normal((2, 3, 1, 2, 2))
+        loss, grad = autodiff.site_xent(logits, labels)
         assert loss > 0
-        assert abs(grad.sum()) < 1e-12
-        assert grad[1] < 0  # pull the true class up
+        # every (clip, site) column of the gradient sums to zero over classes
+        assert np.abs(grad.sum(axis=1)).max() < 1e-12
+        assert (grad[np.arange(2), labels] < 0).all()  # pull the true class up
 
 
 def tiny_graph():
@@ -198,10 +203,37 @@ def tiny_graph():
     return ModuleGraph(layers, "i3d", Shape5(2, 2, 4, 6, 6), num_classes=3)
 
 
+TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
 class TestBenchmarkHooks:
     """perfbench swaps ``ops.conv3d_lowered`` for the ``conv3d_direct`` oracle
     and counts patch bytes by wrapping ``ops._im2col``, both at the module
     attribute; a call that bypasses either would make those checks vacuous."""
+
+    def test_tracer_mac_check_covers_every_conv(self):
+        """The traced benchmark run wraps ``autodiff._resolve`` and
+        ``ops._im2col`` by name and checks every conv's counted MACs against
+        ``analysis._layer_flops``; a rename or a wrong count in any of them
+        would otherwise break only the benchmark."""
+        spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER_PATH)
+        tracer_mod = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracer_mod)
+        for name in tracer_mod.MODULES:
+            importlib.import_module("lw3d." + name)
+        graphs = [toy_net(arch) for arch in ARCHS]
+        tracer = tracer_mod.Tracer()
+        tracer.install()
+        try:
+            for g in graphs:
+                p = autodiff.init_params(g, 0)
+                acts = autodiff.forward(g, p, Tensor5D(np.ones(TOY_SHAPE, np.float32)))
+                autodiff.backward(g, p, acts, np.array([1]))
+        finally:
+            tracer.uninstall()
+        checked, bad = tracer.mac_check()
+        assert bad == []
+        assert checked == sum(layer.kind == "conv" for g in graphs for layer in g.layers)
 
     def test_forward_calls_lowered_conv_through_ops(self, monkeypatch):
         g = toy_net()

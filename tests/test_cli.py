@@ -124,6 +124,26 @@ class TestNonPositiveCounts:
         assert out == ""
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (("train-toy", *TOY_NET, "--clips-per-class", "0"),
+             "--clips-per-class must be at least 1, got 0"),
+            (("train-toy", *TOY_NET, "--classes", "1"), "--classes must be at least 2, got 1"),
+            (("synth-data", "--classes", "1"), "--classes must be at least 2, got 1"),
+        ],
+        ids=["train-toy-zero-clips", "train-toy-one-class", "synth-data-one-class"],
+    )
+    def test_generated_dataset_counts_name_the_flag(self, capsys, tmp_path, argv, message):
+        out_dir = tmp_path / "data"
+        flag = "--out" if argv[0] == "synth-data" else "--out-dir"
+        code, out, err = run(capsys, *argv, flag, str(out_dir))
+        assert code == 2
+        assert message in err
+        assert len(err.strip().splitlines()) == 1
+        assert out == ""
+        assert not out_dir.exists()
+
     def test_fuse_empty_score_file(self, capsys, tmp_path):
         empty = tmp_path / "empty.csv"
         empty.write_text("")
@@ -140,6 +160,7 @@ MALFORMED_CORPUS = {
     "no-arch.ini": "[network]\ninput = 3x8x32x32\n",
     "no-header.ini": "arch = gsst\ninput = 3x8x32x32\n",
     "two-fields.tsv": "clip.lw3d\t0\n",
+    "empty.tsv": "",
     "ragged.csv": "0.5,0.5\n0.5\n",
     "non-numeric.csv": "0.5,0.5\nx,0.5\n",
     "non-integer-labels.csv": "0\nx\n",
@@ -155,6 +176,8 @@ SCORES = "scores.csv"
         ("no-header.ini", ("analyze", "--config")),
         ("two-fields.tsv", ("infer", *TOY_NET, "--manifest")),
         ("two-fields.tsv", ("train-toy", *TOY_NET, "--data")),
+        ("empty.tsv", ("infer", *TOY_NET, "--manifest")),
+        ("empty.tsv", ("train-toy", *TOY_NET, "--data")),
         ("ragged.csv", ("fuse", "--scores-b", SCORES, "--scores-a")),
         ("non-numeric.csv", ("fuse", "--scores-a", SCORES, "--scores-b")),
         (
