@@ -133,19 +133,26 @@ def module_cost(
     in_channels: int = 480,
     sites: tuple[int, int, int] = (8, 14, 14),
 ) -> dict:
-    """Cost of a single inception-style module, split into its two stages
-    (stage one: the pointwise layer row and pool; stage two: the rest)."""
+    """Cost of module ``module`` built alone at its canonical widths and fed
+    ``in_channels`` channels at ``sites``; see ``network_module_cost``."""
     g = build_inception_module(
         WIDTH_TABLE[module], variant, in_channels, name=module,
         input_shape=Shape5(1, in_channels, *sites),
     )
-    costs = _layer_costs(g)
+    return network_module_cost(g, module)
+
+
+def network_module_cost(g: ModuleGraph, module: str) -> dict:
+    """Cost of the layers of module ``module`` inside ``g``, split into its
+    two stages (stage one: the pointwise layer row and pool; stage two: the
+    rest)."""
+    costs = [c for c in _layer_costs(g) if c.layer.id.startswith(module + ".")]
 
     def total(what: str, stage: str | None = None) -> int:
         return sum(getattr(c, what) for c in costs if stage in (None, c.layer.stage))
 
     return {
-        "variant": variant,
+        "variant": g.arch,
         "module": module,
         "params": total("params"),
         "flops": total("flops"),

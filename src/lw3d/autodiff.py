@@ -8,7 +8,6 @@ shift learn, mean and variance stay at their initial values.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass, field
 
@@ -148,12 +147,9 @@ class BnState:
     beta: Parameter
     mean: np.ndarray
     var: np.ndarray
-    eps: float = 1e-5
 
     def params(self) -> BatchNormParams:
-        return BatchNormParams(
-            self.gamma.value, self.beta.value, self.mean, self.var, self.eps
-        )
+        return BatchNormParams(self.gamma.value, self.beta.value, self.mean, self.var)
 
 
 @dataclass
@@ -184,7 +180,7 @@ def init_params(g: ModuleGraph, seed: int = 0) -> NetworkParams:
 
 
 def save_weights(path, g: ModuleGraph, p: NetworkParams) -> None:
-    """Concatenated tensor records, one per parameterized layer in manifest
+    """Concatenated tensor records, one per layer in ``parameterized_layers``
     order; bn layers store (gamma, beta, mean, var) stacked on the first axis."""
     with open(path, "wb") as f:
         for layer in parameterized_layers(g):
@@ -218,7 +214,7 @@ def load_weights(path, g: ModuleGraph) -> NetworkParams:
                     rows[2].copy(), rows[3].copy(),
                 )
         if f.read(1):
-            raise ValueError(f"{path}: trailing records beyond the manifest")
+            raise ValueError(f"{path}: trailing records beyond the last layer")
     return p
 
 
@@ -367,18 +363,20 @@ def backward(
 # SGD with momentum and plateau decay
 # ---------------------------------------------------------------------------
 
+MOMENTUM = 0.9
+LR_DECAY_FACTOR = 10.0
+MIN_IMPROVEMENT = 1e-3  # the least epoch-loss fall that resets the plateau count
+# gradient norms vary over orders of magnitude between the stem and the
+# classifier; clipping each tensor's gradient keeps one lr usable for all
+GRAD_CLIP = 1.0
+
+
 @dataclass
 class TrainConfig:
     learning_rate: float = 0.1
-    momentum: float = 0.9
-    lr_decay_factor: float = 10.0
     batch_size: int = 4
     epochs: int = 50
     plateau_patience: int = 5
-    min_improvement: float = 1e-3
-    # gradient norms vary over orders of magnitude between the stem and the
-    # classifier; clipping each tensor's gradient keeps one lr usable for all
-    grad_clip: float = 1.0
 
     def __post_init__(self):
         if self.learning_rate <= 0:
@@ -387,23 +385,17 @@ class TrainConfig:
             raise ValueError(f"batch size must be at least 1, got {self.batch_size}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be at least 1, got {self.epochs}")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ValueError("momentum must lie in [0, 1)")
-        if self.lr_decay_factor <= 1:
-            raise ValueError("decay factor must exceed 1")
-        if self.grad_clip <= 0:
-            raise ValueError("gradient clip must be positive")
 
 
-def sgd_step(params: list[Parameter], cfg: TrainConfig) -> None:
-    """v <- m*v + clip(g); w <- w - lr*v; gradients zeroed."""
+def sgd_step(params: list[Parameter], lr: float) -> None:
+    """v <- MOMENTUM*v + clip(g); w <- w - lr*v; gradients zeroed."""
     for p in params:
         norm = float(np.linalg.norm(p.grad))
-        if norm > cfg.grad_clip:
-            p.grad *= cfg.grad_clip / norm
-        p.momentum *= cfg.momentum
+        if norm > GRAD_CLIP:
+            p.grad *= GRAD_CLIP / norm
+        p.momentum *= MOMENTUM
         p.momentum += p.grad
-        p.value = (p.value - cfg.learning_rate * p.momentum).astype(np.float32)
+        p.value = (p.value - lr * p.momentum).astype(np.float32)
         p.grad[...] = 0.0
 
 
@@ -412,29 +404,25 @@ def train_toy(
     dataset: list[tuple[Tensor5D, int]],
     cfg: TrainConfig,
     seed: int = 0,
-    params: NetworkParams | None = None,
 ) -> tuple[list[dict], NetworkParams]:
-    """Train on an in-memory dataset; the learning rate divides by the decay
-    factor whenever the epoch loss fails to improve by ``min_improvement``
-    for ``plateau_patience`` consecutive epochs."""
+    """Train on an in-memory dataset; the learning rate divides by
+    ``LR_DECAY_FACTOR`` whenever the epoch loss fails to improve by
+    ``MIN_IMPROVEMENT`` for ``plateau_patience`` consecutive epochs."""
     if not dataset:
         raise ValueError("empty dataset")
     if g.num_classes is not None:
         for _, label in dataset:
             if not 0 <= label < g.num_classes:
                 raise ValueError(f"label {label} out of range")
-    cfg = dataclasses.replace(cfg)
+    lr = cfg.learning_rate
     rng = np.random.default_rng(seed)
-    if params is None:
-        params = init_params(g, seed)
-        # probe must span the whole dataset (e.g. every class), otherwise the
-        # calibrated scales only hold on the directions the probe exercises
-        take = np.linspace(0, len(dataset) - 1, min(len(dataset), 16)).astype(int)
-        calibrate_init(
-            g,
-            params,
-            Tensor5D(np.concatenate([dataset[i][0].data for i in take], axis=0)),
-        )
+    params = init_params(g, seed)
+    # probe must span the whole dataset (e.g. every class), otherwise the
+    # calibrated scales only hold on the directions the probe exercises
+    take = np.linspace(0, len(dataset) - 1, min(len(dataset), 16)).astype(int)
+    calibrate_init(
+        g, params, Tensor5D(np.concatenate([dataset[i][0].data for i in take], axis=0))
+    )
     plist = params.parameters()
     history: list[dict] = []
     best = math.inf
@@ -450,18 +438,18 @@ def train_toy(
             loss = backward(g, params, acts, yb)
             hits += int((predict_scores(g, acts).argmax(axis=1) == yb).sum())
             losses.append(loss * len(idx))
-            sgd_step(plist, cfg)
+            sgd_step(plist, lr)
         epoch_loss = sum(losses) / len(dataset)
         acc = hits / len(dataset)
         history.append(
-            {"epoch": epoch, "loss": epoch_loss, "accuracy": acc, "lr": cfg.learning_rate}
+            {"epoch": epoch, "loss": epoch_loss, "accuracy": acc, "lr": lr}
         )
-        if epoch_loss < best - cfg.min_improvement:
+        if epoch_loss < best - MIN_IMPROVEMENT:
             best = epoch_loss
             stale = 0
         else:
             stale += 1
             if stale >= cfg.plateau_patience:
-                cfg.learning_rate /= cfg.lr_decay_factor
+                lr /= LR_DECAY_FACTOR
                 stale = 0
     return history, params

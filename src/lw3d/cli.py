@@ -9,13 +9,14 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import statistics
 import sys
 import time
 
 import numpy as np
 
-from . import analysis, autodiff, dataio, fusion, gradcheck, graph, tensor
+from . import analysis, autodiff, dataio, fusion, gradcheck, graph
 from .tensor import Shape5, Tensor5D
 
 EXIT_USAGE = 1
@@ -30,44 +31,50 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(EXIT_USAGE)
 
 
-def _input_shape(text: str) -> Shape5:
-    dims = graph.parse_shape_arg(text)
-    if len(dims) != 4:
-        raise ValueError(f"expected CxTxHxW, got {text!r}")
-    return Shape5(1, *dims)
-
-
 def _network_from_args(args) -> graph.ModuleGraph:
-    if getattr(args, "config", None):
-        cfg = graph.parse_network_config(args.config)
-        arch = args.arch or cfg.arch
-        shape = Shape5(1, *cfg.input) if args.input is None else _input_shape(args.input)
-        classes = cfg.classes if args.classes is None else args.classes
-        mult = args.width_mult if args.width_mult is not None else cfg.width_mult
-        overrides = cfg.width_overrides
-    else:
-        if not args.arch:
-            raise ValueError("--arch is required without --config")
-        arch = args.arch
-        shape = _input_shape("3x32x224x224" if args.input is None else args.input)
-        classes = 60 if args.classes is None else args.classes
-        mult = args.width_mult if args.width_mult is not None else 1.0
-        overrides = None
-    return graph.build_network(arch, shape, classes, mult, overrides)
+    """The ``--config`` network, or the default one, with the flags laid over it."""
+    cfg = graph.parse_network_config(args.config) if args.config else graph.NetworkConfig()
+    arch = args.arch or cfg.arch
+    if not arch:
+        raise ValueError("--arch is required without --config")
+    dims = cfg.input if args.input is None else graph.parse_shape_arg(args.input)
+    if len(dims) != 4:
+        raise ValueError(f"--input must be CxTxHxW, got {args.input!r}")
+    classes = cfg.classes if args.classes is None else args.classes
+    mult = cfg.width_mult if args.width_mult is None else args.width_mult
+    return graph.build_network(arch, Shape5(1, *dims), classes, mult, cfg.width_overrides)
+
+
+def _load_clips(records, g: graph.ModuleGraph, match_t: bool) -> list[Tensor5D]:
+    """Each record's clip through ``dataio.load_clip``; one clip per file, and
+    its C, H and W, and its T when ``match_t``, equal to the network input's."""
+    want = g.input_shape
+    clips = []
+    for r in records:
+        x = dataio.load_clip(r)
+        if x.shape != want._replace(t=want.t if match_t else x.t):
+            dims = "N, C, T, H or W" if match_t else "N, C, H or W"
+            raise ValueError(
+                f"{r.path}: clip {tuple(x.shape)} differs from the network input "
+                f"{tuple(want)} in {dims}"
+            )
+        clips.append(x)
+    return clips
 
 
 def cmd_analyze(args) -> int:
+    if args.module and not (args.arch or args.config):
+        args.arch = "i3d"  # a module's cost defaults to the dense baseline's
+    g = _network_from_args(args)
     if args.module:
-        variant = args.arch or "i3d"
-        cost = analysis.module_cost(variant, args.module)
-        print(f"module {args.module} ({variant})")
+        cost = analysis.network_module_cost(g, args.module)
+        print(f"module {args.module} ({g.arch})")
         print(f"params {cost['params']}  flops {cost['flops']}")
         print(
             f"stage-one params {cost['stage_one_params']}  "
             f"stage-two params {cost['stage_two_params']}"
         )
         return 0
-    g = _network_from_args(args)
     report = analysis.analyze(g, include_bn_params=args.include_bn_params)
     sys.stdout.write(analysis.emit_report(report, args.format))
     return 0
@@ -165,15 +172,7 @@ def cmd_fuse(args) -> int:
     return 0
 
 
-def _check_synth_counts(classes: int, clips_per_class: int) -> None:
-    if clips_per_class < 1:
-        raise ValueError(f"--clips-per-class must be at least 1, got {clips_per_class}")
-    if classes < 2:
-        raise ValueError(f"--classes must be at least 2, got {classes}")
-
-
 def cmd_synth_data(args) -> int:
-    _check_synth_counts(args.classes, args.clips_per_class)
     shape = graph.parse_shape_arg(args.shape)
     if len(shape) != 4:
         raise ValueError(f"--shape must be CxTxHxW, got {args.shape!r}")
@@ -193,20 +192,17 @@ def cmd_gradcheck(args) -> int:
 def cmd_train_toy(args) -> int:
     g = _network_from_args(args)
     cfg = autodiff.TrainConfig(
-        learning_rate=args.lr,
-        epochs=args.epochs,
-        batch_size=args.batch,
+        learning_rate=args.lr, batch_size=args.batch, epochs=args.epochs,
         plateau_patience=args.patience,
     )
     if args.data:
         records = dataio.read_manifest(args.data)
     else:
-        _check_synth_counts(g.num_classes, args.clips_per_class)
         records = dataio.synth_dataset(
             g.num_classes, args.clips_per_class, tuple(g.input_shape)[1:],
             args.seed, args.out_dir or "toy-data",
         )
-    dataset = [(dataio.load_clip(r), r.label) for r in records]
+    dataset = list(zip(_load_clips(records, g, match_t=True), (r.label for r in records)))
     history, params = autodiff.train_toy(g, dataset, cfg, seed=args.seed)
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["epoch", "loss", "accuracy", "lr"])
@@ -220,8 +216,6 @@ def cmd_train_toy(args) -> int:
 
 
 def cmd_infer(args) -> int:
-    if args.windows < 1:
-        raise ValueError(f"--windows must be at least 1, got {args.windows}")
     g = _network_from_args(args)
     params = (
         autodiff.load_weights(args.weights, g)
@@ -230,11 +224,11 @@ def cmd_infer(args) -> int:
     )
     if args.manifest:
         records = dataio.read_manifest(args.manifest)
-        clips = [dataio.load_clip(r) for r in records]
     elif args.tensor:
-        clips = [tensor.load_tensor(args.tensor)]
+        records = [dataio.ClipRecord(args.tensor, 0)]  # infer reads no label
     else:
         raise ValueError("infer needs --tensor or --manifest")
+    clips = _load_clips(records, g, match_t=False)  # windows are sampled to T
     rng = np.random.default_rng(args.seed)
     writer = csv.writer(sys.stdout, lineterminator="\n")
     for clip in clips:
@@ -252,10 +246,6 @@ def cmd_infer(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    if args.repeat < 1:
-        raise ValueError(f"--repeat must be at least 1, got {args.repeat}")
-    if args.batch < 1:
-        raise ValueError(f"--batch must be at least 1, got {args.batch}")
     g = _network_from_args(args)
     shape = g.input_shape
     params = autodiff.init_params(g, args.seed)
@@ -290,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_network_flags(p)
     p.add_argument("--format", choices=("table", "csv", "json"), default="table")
     p.add_argument("--include-bn-params", action="store_true")
-    p.add_argument("--module", help="analyze a single module (e.g. 4b) instead")
+    p.add_argument("--module", choices=tuple(graph.WIDTH_TABLE), help="one module's cost")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("compare-factorizations", help="factorization trade-offs")
@@ -327,10 +317,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train-toy", help="toy-scale training on synthetic clips")
     _add_network_flags(p)
-    p.add_argument("--epochs", type=int, default=50)
-    p.add_argument("--batch", type=int, default=4)
-    p.add_argument("--lr", type=float, default=0.1)
-    p.add_argument("--patience", type=int, default=5)
+    cfg = autodiff.TrainConfig
+    p.add_argument("--epochs", type=int, default=cfg.epochs)
+    p.add_argument("--batch", type=int, default=cfg.batch_size)
+    p.add_argument("--lr", type=float, default=cfg.learning_rate)
+    p.add_argument("--patience", type=int, default=cfg.plateau_patience)
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--clips-per-class", type=int, default=8)
     p.add_argument("--data", help="manifest of an existing dataset")
@@ -356,10 +347,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# flags that count something; --classes needs 2 where a dataset is generated
+COUNT_FLAGS = ("classes", "clips_per_class", "windows", "trials",
+               "batch", "epochs", "repeat", "patience")
+RATE_FLAGS = ("lr", "width_mult")
+
+
+def _check_bounds(args) -> None:
+    """Every count flag at least 1 and every rate flag positive and finite,
+    checked before a command reads or writes anything; errors name the flag."""
+    synth = args.command == "synth-data" or (args.command == "train-toy" and not args.data)
+    for dest in COUNT_FLAGS + RATE_FLAGS:
+        value, flag = getattr(args, dest, None), "--" + dest.replace("_", "-")
+        if value is None:
+            continue
+        if dest in RATE_FLAGS and not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{flag} must be positive and finite, got {value}")
+        least = 2 if dest == "classes" and synth else 1
+        if dest in COUNT_FLAGS and value < least:
+            raise ValueError(f"{flag} must be at least {least}, got {value}")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_bounds(args)
         return args.func(args)
     except (ValueError, OSError) as e:
         print(f"lw3d: error: {e}", file=sys.stderr)

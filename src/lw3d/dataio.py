@@ -28,13 +28,10 @@ class AugmentConfig:
     resize: tuple[int, int] = (256, 310)  # (height, width)
     crop: int = 224
     flip_prob: float = 0.5
-    clip_len: int = 32
 
     def __post_init__(self):
         if self.crop > min(self.resize):
             raise ValueError(f"crop {self.crop} larger than resize target {self.resize}")
-        if self.clip_len < 1:
-            raise ValueError("clip length must be >= 1")
 
 
 def sample_clip(video: Tensor5D, length: int = 32, seed: int = 0) -> Tensor5D:
@@ -140,6 +137,8 @@ def synth_dataset(
     """Generate a balanced labeled dataset of tensor files plus a manifest."""
     if classes < 2:
         raise ValueError("need at least two classes")
+    if clips_per_class < 1:
+        raise ValueError(f"need at least one clip per class, got {clips_per_class}")
     os.makedirs(out_dir, exist_ok=True)
     records: list[ClipRecord] = []
     index = 0
@@ -155,12 +154,12 @@ def synth_dataset(
     return records
 
 
-def load_clip(record: ClipRecord, replicate_to: int | None = 3) -> Tensor5D:
+def load_clip(record: ClipRecord) -> Tensor5D:
     """Load a clip; single-channel (depth) tensors replicate to 3 channels so
     every architecture keeps the same stem."""
     x = tensor.load_tensor(record.path)
-    if replicate_to and x.c == 1 and replicate_to > 1:
-        x = Tensor5D(np.repeat(x.data, replicate_to, axis=1))
+    if x.c == 1:
+        x = Tensor5D(np.repeat(x.data, 3, axis=1))
     return x
 
 

@@ -419,47 +419,10 @@ def parameterized_layers(g: ModuleGraph) -> list[LayerSpec]:
     return [layer for layer in g.layers if layer.kind in ("conv", "bn")]
 
 
-def emit_manifest(g: ModuleGraph) -> str:
-    """Canonical manifest: one tab-separated line per parameterized layer."""
-    lines = []
-    for layer in parameterized_layers(g):
-        if layer.kind == "conv":
-            s = layer.params
-            lines.append(
-                "\t".join(
-                    [layer.id, "conv", str(s.in_channels), str(s.out_channels)]
-                    + [str(v) for v in (*s.kernel, *s.stride, *s.padding, s.groups)]
-                )
-            )
-        else:
-            lines.append("\t".join([layer.id, "bn", str(layer.params)]))
-    return "\n".join(lines) + "\n"
-
-
-def parse_manifest(text: str) -> list[tuple[str, str, object]]:
-    records: list[tuple[str, str, object]] = []
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        parts = line.split("\t")
-        if parts[1] == "conv":
-            vals = [int(v) for v in parts[2:]]
-            spec = Conv3DSpec(
-                vals[0], vals[1], tuple(vals[2:5]), tuple(vals[5:8]),
-                tuple(vals[8:11]), vals[11],
-            )
-            records.append((parts[0], "conv", spec))
-        elif parts[1] == "bn":
-            records.append((parts[0], "bn", int(parts[2])))
-        else:
-            raise ValueError(f"unknown manifest record kind {parts[1]!r}")
-    return records
-
-
 @dataclass
-class NetworkConfig:
-    arch: str
-    input: tuple[int, int, int, int]  # (c, t, h, w); batch implied 1
+class NetworkConfig:  # the defaults describe the canonical network
+    arch: str = ""
+    input: tuple[int, int, int, int] = (3, 32, 224, 224)  # (c, t, h, w); batch implied 1
     classes: int = 60
     width_mult: float = 1.0
     width_overrides: dict[str, InceptionWidths] = field(default_factory=dict)
@@ -514,7 +477,7 @@ def parse_network_config(path) -> NetworkConfig:
     return NetworkConfig(
         arch=value("network", "arch").lower(),
         input=dims,
-        classes=value("network", "classes", int, 60),
-        width_mult=value("network", "width_mult", float, 1.0),
+        classes=value("network", "classes", int, NetworkConfig.classes),
+        width_mult=value("network", "width_mult", float, NetworkConfig.width_mult),
         width_overrides=overrides,
     )

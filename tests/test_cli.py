@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 from lw3d import tensor
+from lw3d.analysis import module_cost
 from lw3d.cli import main
-from lw3d.dataio import synth_clip
+from lw3d.dataio import synth_clip, synth_dataset
+from lw3d.graph import ARCHS, WIDTH_TABLE, InceptionWidths, build_network, infer_shapes
+from lw3d.tensor import Shape5, Tensor5D
 
 
 def run(capsys, *argv):
@@ -50,7 +53,7 @@ class TestNonPositiveCounts:
     def test_gradcheck_zero_trials(self, capsys):
         code, out, err = run(capsys, "gradcheck", "--op", "relu", "--trials", "0")
         assert code == 2
-        assert "at least one trial" in err
+        assert "--trials must be at least 1, got 0" in err
         assert out == ""
 
     def test_infer_zero_windows(self, capsys, tmp_path):
@@ -67,19 +70,19 @@ class TestNonPositiveCounts:
     def test_zero_classes(self, capsys):
         code, _, err = run(capsys, "analyze", "--arch", "i3d", "--classes", "0")
         assert code == 2
-        assert "at least one class" in err
+        assert "--classes must be at least 1, got 0" in err
 
     def test_zero_classes_overrides_config(self, capsys, tmp_path):
         cfg = tmp_path / "net.ini"
         cfg.write_text("[network]\narch = i3d\ninput = 3x32x224x224\nclasses = 60\n")
         code, _, err = run(capsys, "analyze", "--config", str(cfg), "--classes", "0")
         assert code == 2
-        assert "at least one class" in err
+        assert "--classes must be at least 1, got 0" in err
 
     def test_negative_width_multiplier(self, capsys):
         code, _, err = run(capsys, "analyze", "--arch", "i3d", "--width-mult", "-1")
         assert code == 2
-        assert "width multiplier" in err
+        assert "--width-mult must be positive and finite, got -1.0" in err
 
     def test_train_toy_zero_batch(self, capsys, tmp_path):
         code, _, err = run(
@@ -87,7 +90,7 @@ class TestNonPositiveCounts:
             "--clips-per-class", "1", "--out-dir", str(tmp_path / "data"),
         )
         assert code == 2
-        assert "batch size" in err
+        assert "--batch must be at least 1, got 0" in err
 
     def test_train_toy_zero_epochs(self, capsys, tmp_path):
         weights = tmp_path / "w.lw3d"
@@ -143,6 +146,50 @@ class TestNonPositiveCounts:
         assert len(err.strip().splitlines()) == 1
         assert out == ""
         assert not out_dir.exists()
+
+    # every count and rate flag of every subcommand, each just out of bounds
+    BOUNDS_CORPUS = [
+        (("analyze", "--arch", "i3d"), "--classes", "0", "at least 1, got 0"),
+        (("analyze", "--arch", "i3d"), "--width-mult", "0", "positive and finite, got 0.0"),
+        (("analyze", "--arch", "i3d"), "--width-mult", "inf", "positive and finite, got inf"),
+        (("synth-data",), "--classes", "1", "at least 2, got 1"),
+        (("synth-data",), "--clips-per-class", "0", "at least 1, got 0"),
+        (("gradcheck", "--op", "relu"), "--trials", "0", "at least 1, got 0"),
+        (("train-toy", *TOY_NET), "--classes", "1", "at least 2, got 1"),
+        (("train-toy", *TOY_NET, "--data", "m.tsv"), "--classes", "0", "at least 1, got 0"),
+        (("train-toy", *TOY_NET), "--clips-per-class", "0", "at least 1, got 0"),
+        (("train-toy", *TOY_NET), "--batch", "0", "at least 1, got 0"),
+        (("train-toy", *TOY_NET), "--epochs", "0", "at least 1, got 0"),
+        (("train-toy", *TOY_NET), "--patience", "0", "at least 1, got 0"),
+        (("train-toy", *TOY_NET), "--lr", "0", "positive and finite, got 0.0"),
+        (("train-toy", *TOY_NET), "--lr", "nan", "positive and finite, got nan"),
+        (("train-toy", *TOY_NET), "--width-mult", "nan", "positive and finite, got nan"),
+        (("infer", *TOY_NET, "--tensor", "x.lw3d"), "--classes", "0", "at least 1, got 0"),
+        (("infer", *TOY_NET, "--tensor", "x.lw3d"), "--windows", "0", "at least 1, got 0"),
+        (("infer", *TOY_NET, "--tensor", "x.lw3d"), "--width-mult", "-1",
+         "positive and finite, got -1.0"),
+        (("bench", *TOY_NET), "--classes", "0", "at least 1, got 0"),
+        (("bench", *TOY_NET), "--batch", "0", "at least 1, got 0"),
+        (("bench", *TOY_NET), "--repeat", "0", "at least 1, got 0"),
+        (("bench", *TOY_NET), "--width-mult", "nan", "positive and finite, got nan"),
+    ]
+
+    @pytest.mark.parametrize(
+        "argv,flag,value,message", BOUNDS_CORPUS,
+        ids=[f"{a[0]}{flag}={v}" for a, flag, v, _ in BOUNDS_CORPUS],
+    )
+    def test_bounds_corpus(self, capsys, tmp_path, monkeypatch, argv, flag, value, message):
+        """Each fault exits 2 with one line naming the flag and writes nothing."""
+        monkeypatch.chdir(tmp_path)
+        if argv[0] == "synth-data":
+            argv = (*argv, "--out", "data")
+        if argv[0] == "train-toy":
+            argv = (*argv, "--out-dir", "data", "--save-weights", "w.lw3d")
+        code, out, err = run(capsys, *argv, flag, value)
+        assert code == 2
+        assert err.strip() == f"lw3d: error: {flag} must be {message}"
+        assert out == ""
+        assert list(tmp_path.iterdir()) == []
 
     def test_fuse_empty_score_file(self, capsys, tmp_path):
         empty = tmp_path / "empty.csv"
@@ -201,6 +248,9 @@ def test_malformed_file_is_one_line_data_error(capsys, tmp_path, name, argv):
     assert len(err.strip().splitlines()) == 1
 
 
+NARROW_4C = InceptionWidths(8, 8, 16, 8, 16, 8)
+
+
 class TestAnalyze:
     def test_table_has_exact_cells(self, capsys):
         code, out, _ = run(capsys, "analyze", "--arch", "i3d")
@@ -232,6 +282,55 @@ class TestAnalyze:
         code, out, _ = run(capsys, "analyze", "--config", str(cfg))
         assert code == 0
         assert "Total | 12.273 | 55.916" in out.splitlines()
+
+
+    @pytest.mark.parametrize("arch", ARCHS)
+    def test_module_cost_at_the_network_input(self, capsys, arch):
+        """--module M costs M at the channels and sites it meets in the network."""
+        g = build_network(arch, Shape5(1, 3, 32, 224, 224))
+        shapes = infer_shapes(g)
+        for module in WIDTH_TABLE:
+            first = next(l for l in g.layers if l.id.startswith(module + "."))
+            x = shapes[first.inputs[0]]
+            cost = module_cost(arch, module, x.c, (x.t, x.h, x.w))
+            code, out, _ = run(capsys, "analyze", "--arch", arch, "--module", module)
+            assert code == 0
+            assert out.splitlines() == [
+                f"module {module} ({arch})",
+                f"params {cost['params']}  flops {cost['flops']}",
+                f"stage-one params {cost['stage_one_params']}  "
+                f"stage-two params {cost['stage_two_params']}",
+            ]
+        if arch == "i3d":  # 3b meets 192 channels at 16x28x28, not 480 at 8x14x14
+            assert module_cost(arch, "3b", 192, (16, 28, 28))["params"] == 385_536
+
+    @pytest.mark.parametrize(
+        "flags,network",
+        [
+            (("--width-mult", "0.5"), {"width_mult": 0.5}),
+            (("--input", "3x8x64x64"), {"input_shape": Shape5(1, 3, 8, 64, 64)}),
+            (("--config", "net.ini"), {"width_overrides": {"4c": NARROW_4C}}),
+        ],
+        ids=["width-mult", "input", "config-widths"],
+    )
+    def test_module_cost_follows_the_network_flags(
+        self, capsys, tmp_path, monkeypatch, flags, network
+    ):
+        monkeypatch.chdir(tmp_path)
+        widths = "".join(f"{k} = {v}\n" for k, v in NARROW_4C._asdict().items())
+        (tmp_path / "net.ini").write_text(
+            f"[network]\narch = sst\ninput = 3x32x224x224\n[widths.4c]\n{widths}"
+        )
+        code, out, _ = run(capsys, "analyze", "--arch", "sst", *flags, "--module", "4c")
+        assert code == 0
+        _, default, _ = run(capsys, "analyze", "--arch", "sst", "--module", "4c")
+        assert out != default
+        g = build_network("sst", **{"input_shape": Shape5(1, 3, 32, 224, 224), **network})
+        params = sum(
+            l.params.param_count for l in g.layers
+            if l.kind == "conv" and l.id.startswith("4c.")
+        )
+        assert f"params {params}  flops " in out
 
 
 class TestCompareFactorizations:
@@ -353,6 +452,76 @@ class TestTrainInferRoundTrip:
         code, _, err = run(capsys, "infer", "--arch", "i3d")
         assert code == 2
         assert "--tensor or --manifest" in err
+
+
+class TestClipShapeContract:
+    """Every clip a command reads goes through ``dataio.load_clip`` and must fit
+    the network input: C, H and W always, T as well for training (``infer``
+    samples its windows to length)."""
+
+    @staticmethod
+    def dataset(tmp_path, shape, stream="rgb"):
+        records = synth_dataset(2, 1, shape, 0, str(tmp_path / "data"), stream)
+        return records, str(tmp_path / "data" / "manifest.tsv")
+
+    @pytest.mark.parametrize(
+        "shape", [(3, 8, 64, 64), (3, 16, 32, 32), (2, 8, 32, 32)], ids=["hw", "t", "c"]
+    )
+    def test_train_toy_rejects_clip_that_does_not_fit(self, capsys, tmp_path, shape):
+        records, manifest = self.dataset(tmp_path, shape)
+        weights = tmp_path / "w.lw3d"
+        code, out, err = run(
+            capsys, "train-toy", *TOY_NET, "--epochs", "1", "--data", manifest,
+            "--save-weights", str(weights),
+        )
+        assert code == 2
+        assert err.startswith(f"lw3d: error: {records[0].path}: clip ")
+        assert len(err.strip().splitlines()) == 1
+        assert out == ""
+        assert not weights.exists()
+
+    @pytest.mark.parametrize("source", ["--manifest", "--tensor"])
+    @pytest.mark.parametrize("shape", [(3, 8, 64, 64), (2, 8, 32, 32)], ids=["hw", "c"])
+    def test_infer_rejects_clip_that_does_not_fit(self, capsys, tmp_path, source, shape):
+        records, manifest = self.dataset(tmp_path, shape)
+        path = manifest if source == "--manifest" else records[0].path
+        code, out, err = run(capsys, "infer", *TOY_NET, source, path)
+        assert code == 2
+        assert err.startswith(f"lw3d: error: {records[0].path}: clip ")
+        assert len(err.strip().splitlines()) == 1
+        assert out == ""
+
+    @pytest.mark.parametrize("source", ["--manifest", "--tensor"])
+    def test_infer_accepts_any_clip_length(self, capsys, tmp_path, source):
+        records, manifest = self.dataset(tmp_path, (3, 16, 32, 32))
+        path = manifest if source == "--manifest" else records[0].path
+        code, out, _ = run(capsys, "infer", *TOY_NET, source, path, "--windows", "1")
+        assert code == 0
+        assert len(out.splitlines()) == (len(records) if source == "--manifest" else 1)
+
+    @pytest.mark.parametrize(
+        "command", ["train-toy --data", "infer --manifest", "infer --tensor"]
+    )
+    def test_file_holding_two_clips_is_rejected(self, capsys, tmp_path, command):
+        # one label per file, so a second clip would train unlabelled or go unscored
+        records, manifest = self.dataset(tmp_path, (3, 8, 32, 32))
+        two = tensor.load_tensor(records[0].path).data.repeat(2, axis=0)
+        tensor.save_tensor(records[0].path, Tensor5D(two))
+        sub, source = command.split()
+        path = records[0].path if source == "--tensor" else manifest
+        code, out, err = run(capsys, sub, *TOY_NET, source, path)
+        assert code == 2
+        assert err.startswith(f"lw3d: error: {records[0].path}: clip (2, 3, 8, 32, 32) ")
+        assert len(err.strip().splitlines()) == 1
+        assert out == ""
+
+    def test_infer_tensor_reads_depth_clip_as_manifest_does(self, capsys, tmp_path):
+        records, manifest = self.dataset(tmp_path, (1, 8, 32, 32), "depth")
+        code, by_manifest, _ = run(capsys, "infer", *TOY_NET, "--manifest", manifest)
+        assert code == 0
+        code, by_tensor, err = run(capsys, "infer", *TOY_NET, "--tensor", records[0].path)
+        assert (code, err) == (0, "")
+        assert by_tensor.splitlines() == by_manifest.splitlines()[:1]
 
 
 class TestBench:

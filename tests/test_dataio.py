@@ -98,7 +98,7 @@ class TestCropAndFlip:
     def test_augment_deterministic_and_correct_shape(self):
         rng = np.random.default_rng(1)
         clip = Tensor5D(rng.standard_normal((1, 3, 4, 64, 80)).astype(np.float32))
-        cfg = AugmentConfig(resize=(32, 40), crop=28, clip_len=4)
+        cfg = AugmentConfig(resize=(32, 40), crop=28)
         a = augment(clip, cfg, seed=7)
         b = augment(clip, cfg, seed=7)
         assert a == b
@@ -107,7 +107,7 @@ class TestCropAndFlip:
     def test_augment_covers_all_crop_sites(self):
         rng = np.random.default_rng(2)
         clip = Tensor5D(rng.standard_normal((1, 1, 1, 16, 20)).astype(np.float32))
-        cfg = AugmentConfig(resize=(8, 10), crop=6, flip_prob=0.0, clip_len=1)
+        cfg = AugmentConfig(resize=(8, 10), crop=6, flip_prob=0.0)
         resized = resize_bilinear(clip, 8, 10)
         seen = set()
         for seed in range(40):
@@ -121,8 +121,6 @@ class TestCropAndFlip:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             AugmentConfig(resize=(10, 10), crop=12)
-        with pytest.raises(ValueError):
-            AugmentConfig(clip_len=0)
 
 
 class TestSyntheticData:
@@ -150,6 +148,13 @@ class TestSyntheticData:
         with pytest.raises(ValueError):
             synth_dataset(1, 2, (1, 2, 4, 4), 0, str(tmp_path))
 
+    def test_rejects_no_clips_per_class_before_writing(self, tmp_path):
+        # an empty manifest would be one its own read_manifest rejects
+        out = tmp_path / "data"
+        with pytest.raises(ValueError, match="at least one clip per class, got 0"):
+            synth_dataset(2, 0, (1, 2, 4, 4), 0, str(out))
+        assert not out.exists()
+
     def test_depth_clip_replicates_channels(self, tmp_path):
         clip = synth_clip(0, 2, (1, 2, 4, 4), np.random.default_rng(0))
         path = tmp_path / "d.lw3d"
@@ -165,11 +170,11 @@ class TestSyntheticData:
         test = synth_dataset(2, 8, (1, 8, 12, 12), 77, str(tmp_path / "te"))
         means = {}
         for label in (0, 1):
-            clips = [load_clip(r, None).data for r in train if r.label == label]
+            clips = [tensor.load_tensor(r.path).data for r in train if r.label == label]
             means[label] = np.mean(clips, axis=0)
         hits = 0
         for r in test:
-            x = load_clip(r, None).data
+            x = tensor.load_tensor(r.path).data
             pred = min(means, key=lambda l: float(((x - means[l]) ** 2).sum()))
             hits += pred == r.label
         assert hits / len(test) >= 0.75

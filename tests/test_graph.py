@@ -16,7 +16,6 @@ from lw3d.graph import (
     build_inception_module,
     build_network,
     infer_shapes,
-    parse_manifest,
     parse_network_config,
     parse_shape_arg,
     shuffle_group_count,
@@ -245,23 +244,6 @@ class TestInceptionModule:
         assert spatial.kernel == (1, 3, 3)
         assert (temporal.in_channels, temporal.out_channels) == (96, 208)
         assert temporal.kernel == (3, 1, 1)
-
-
-class TestManifest:
-    def test_round_trip(self):
-        g = build_network("gsst", CANONICAL)
-        text = graph.emit_manifest(g)
-        records = parse_manifest(text)
-        layers = graph.parameterized_layers(g)
-        assert len(records) == len(layers)
-        for (rid, kind, params), layer in zip(records, layers):
-            assert rid == layer.id
-            assert kind == layer.kind
-            assert params == layer.params
-
-    def test_rejects_unknown_kind(self):
-        with pytest.raises(ValueError):
-            parse_manifest("x\tdropout\t1\n")
 
 
 class TestConfig:
