@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .graph import (
+    SITES_4B,
     WIDTH_TABLE,
     LayerSpec,
     ModuleGraph,
@@ -131,7 +132,7 @@ def module_cost(
     variant: str,
     module: str = "4b",
     in_channels: int = 480,
-    sites: tuple[int, int, int] = (8, 14, 14),
+    sites: tuple[int, int, int] = SITES_4B,
 ) -> dict:
     """Cost of module ``module`` built alone at its canonical widths and fed
     ``in_channels`` channels at ``sites``; see ``network_module_cost``."""
@@ -176,7 +177,7 @@ def compare_factorizations(
     in_ch: int,
     out_ch: int,
     k: int,
-    sites: tuple[int, int, int] = (8, 14, 14),
+    sites: tuple[int, int, int] = SITES_4B,
 ) -> tuple[list[FactorizationCandidate], str]:
     """The full kxkxk convolution against its four two-layer factorizations
     (temporal/spatial first, width increased early/late).  All layers are

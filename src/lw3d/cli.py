@@ -31,15 +31,53 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(EXIT_USAGE)
 
 
+class _Checked(argparse.Action):
+    """Stores ``check(value)``, which runs while the command line is parsed, so
+    before any command reads or writes anything.  A value it rejects with a
+    ValueError is a data error (exit 2) naming the flag as typed and ``rule``."""
+
+    def __init__(self, *args, check, rule, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.check, self.rule = check, rule
+
+    def __call__(self, parser, namespace, value, option_string=None):
+        try:
+            setattr(namespace, self.dest, self.check(value))
+        except ValueError:
+            raise ValueError(f"{option_string} must be {self.rule}, got {value!r}") from None
+
+
+def _bounded(type_, rule: str, ok) -> dict:
+    """``add_argument`` keywords of a flag whose ``type_`` value must pass ``ok``."""
+
+    def check(value):
+        if not ok(value):
+            raise ValueError(value)
+        return value
+
+    return {"type": type_, "action": _Checked, "check": check, "rule": rule}
+
+
+COUNT = _bounded(int, "at least 1", lambda v: v >= 1)
+SEED = _bounded(int, "at least 0", lambda v: v >= 0)
+RATE = _bounded(float, "positive and finite", lambda v: math.isfinite(v) and v > 0)
+ACCURACY = _bounded(float, "in [0, 1]", lambda v: 0 <= v <= 1)
+KERNEL = _bounded(int, "odd and positive", lambda v: v > 0 and v % 2 == 1)
+
+
+def _shape(form: str) -> dict:
+    """``add_argument`` keywords of a flag holding a shape written in ``form``."""
+    return {"action": _Checked, "check": lambda text: graph.parse_shape_arg(text, form),
+            "rule": f"{form} of positive integers", "metavar": form}
+
+
 def _network_from_args(args) -> graph.ModuleGraph:
     """The ``--config`` network, or the default one, with the flags laid over it."""
     cfg = graph.parse_network_config(args.config) if args.config else graph.NetworkConfig()
     arch = args.arch or cfg.arch
     if not arch:
         raise ValueError("--arch is required without --config")
-    dims = cfg.input if args.input is None else graph.parse_shape_arg(args.input)
-    if len(dims) != 4:
-        raise ValueError(f"--input must be CxTxHxW, got {args.input!r}")
+    dims = args.input or cfg.input
     classes = cfg.classes if args.classes is None else args.classes
     mult = cfg.width_mult if args.width_mult is None else args.width_mult
     return graph.build_network(arch, Shape5(1, *dims), classes, mult, cfg.width_overrides)
@@ -81,11 +119,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_compare_factorizations(args) -> int:
-    sites = graph.parse_shape_arg(args.sites)
-    if len(sites) != 3:
-        raise ValueError(f"--sites must be TxHxW, got {args.sites!r}")
     candidates, best = analysis.compare_factorizations(
-        args.in_channels, args.out_channels, args.k, sites
+        args.in_channels, args.out_channels, args.k, args.sites
     )
     if args.format == "table":
         print("Structure | Params | Layer params | FLOPs")
@@ -173,11 +208,8 @@ def cmd_fuse(args) -> int:
 
 
 def cmd_synth_data(args) -> int:
-    shape = graph.parse_shape_arg(args.shape)
-    if len(shape) != 4:
-        raise ValueError(f"--shape must be CxTxHxW, got {args.shape!r}")
     records = dataio.synth_dataset(
-        args.classes, args.clips_per_class, shape, args.seed, args.out, args.stream
+        args.classes, args.clips_per_class, args.shape, args.seed, args.out, args.stream
     )
     print(f"wrote {len(records)} clips under {args.out}")
     return 0
@@ -195,13 +227,13 @@ def cmd_train_toy(args) -> int:
         learning_rate=args.lr, batch_size=args.batch, epochs=args.epochs,
         plateau_patience=args.patience,
     )
-    if args.data:
-        records = dataio.read_manifest(args.data)
-    else:
-        records = dataio.synth_dataset(
-            g.num_classes, args.clips_per_class, tuple(g.input_shape)[1:],
-            args.seed, args.out_dir or "toy-data",
-        )
+    records = dataio.read_manifest(args.data)
+    for r in records:  # train_toy checks labels too, but cannot name the files
+        if not 0 <= r.label < g.num_classes:
+            raise ValueError(
+                f"{args.data}: {r.path}: label {r.label} is not one of the "
+                f"network's {g.num_classes} classes"
+            )
     dataset = list(zip(_load_clips(records, g, match_t=True), (r.label for r in records)))
     history, params = autodiff.train_toy(g, dataset, cfg, seed=args.seed)
     writer = csv.writer(sys.stdout, lineterminator="\n")
@@ -232,16 +264,12 @@ def cmd_infer(args) -> int:
     rng = np.random.default_rng(args.seed)
     writer = csv.writer(sys.stdout, lineterminator="\n")
     for clip in clips:
-        windows = []
+        scores = np.zeros(g.num_classes, dtype=np.float64)
         for _ in range(args.windows):
             seed = int(rng.integers(0, 2**31 - 1))
-            windows.append(dataio.sample_clip(clip, g.input_shape.t, seed))
-        scores = np.zeros(g.num_classes, dtype=np.float64)
-        for win in windows:
-            acts = autodiff.forward(g, params, win)
-            scores += autodiff.predict_scores(g, acts)[0]
-        scores /= len(windows)
-        writer.writerow([f"{v:.6f}" for v in scores])
+            win = dataio.sample_clip(clip, g.input_shape.t, seed)
+            scores += autodiff.predict_scores(g, autodiff.forward(g, params, win))[0]
+        writer.writerow([f"{v:.6f}" for v in scores / args.windows])
     return 0
 
 
@@ -264,11 +292,11 @@ def cmd_bench(args) -> int:
     return 0
 
 
-def _add_network_flags(p, require_arch=False):
-    p.add_argument("--arch", choices=graph.ARCHS, required=require_arch)
-    p.add_argument("--input", help="input shape CxTxHxW (batch implied 1)")
-    p.add_argument("--classes", type=int)
-    p.add_argument("--width-mult", type=float, dest="width_mult")
+def _add_network_flags(p):
+    p.add_argument("--arch", choices=graph.ARCHS)
+    p.add_argument("--input", **_shape("CxTxHxW"), help="input shape (batch implied 1)")
+    p.add_argument("--classes", **COUNT)
+    p.add_argument("--width-mult", **RATE)
     p.add_argument("--config", help="architecture description file")
 
 
@@ -284,10 +312,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("compare-factorizations", help="factorization trade-offs")
-    p.add_argument("--in", dest="in_channels", type=int, required=True)
-    p.add_argument("--out", dest="out_channels", type=int, required=True)
-    p.add_argument("--k", type=int, default=3)
-    p.add_argument("--sites", default="8x14x14", help="output sites TxHxW")
+    p.add_argument("--in", dest="in_channels", **COUNT, required=True)
+    p.add_argument("--out", dest="out_channels", **COUNT, required=True)
+    p.add_argument("--k", **KERNEL, default=3)
+    p.add_argument("--sites", **_shape("TxHxW"), default=graph.SITES_4B, help="output sites")
     p.add_argument("--format", choices=("table", "json"), default="table")
     p.set_defaults(func=cmd_compare_factorizations)
 
@@ -296,36 +324,34 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scores-b", required=True)
     p.add_argument("--labels")
     p.add_argument("--strategy", choices=(fusion.MS1, fusion.MS2), default=fusion.MS1)
-    p.add_argument("--acc-a", type=float)
-    p.add_argument("--acc-b", type=float)
+    p.add_argument("--acc-a", **ACCURACY)
+    p.add_argument("--acc-b", **ACCURACY)
     p.set_defaults(func=cmd_fuse)
 
     p = sub.add_parser("synth-data", help="generate a synthetic labeled dataset")
-    p.add_argument("--classes", type=int, default=2)
-    p.add_argument("--clips-per-class", type=int, default=8)
-    p.add_argument("--shape", default="3x8x32x32")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--classes", **_bounded(int, "at least 2", lambda v: v >= 2), default=2)
+    p.add_argument("--clips-per-class", **COUNT, default=8)
+    p.add_argument("--shape", **_shape("CxTxHxW"), default=(3, 8, 32, 32))
+    p.add_argument("--seed", **SEED, default=0)
     p.add_argument("--stream", choices=("rgb", "depth"), default="rgb")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_synth_data)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient check")
     p.add_argument("--op", required=True, choices=gradcheck.OPS)
-    p.add_argument("--trials", type=int, default=20)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--trials", **COUNT, default=20)
+    p.add_argument("--seed", **SEED, default=0)
     p.set_defaults(func=cmd_gradcheck)
 
-    p = sub.add_parser("train-toy", help="toy-scale training on synthetic clips")
+    p = sub.add_parser("train-toy", help="toy-scale training on a clip manifest")
     _add_network_flags(p)
     cfg = autodiff.TrainConfig
-    p.add_argument("--epochs", type=int, default=cfg.epochs)
-    p.add_argument("--batch", type=int, default=cfg.batch_size)
-    p.add_argument("--lr", type=float, default=cfg.learning_rate)
-    p.add_argument("--patience", type=int, default=cfg.plateau_patience)
-    p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--clips-per-class", type=int, default=8)
-    p.add_argument("--data", help="manifest of an existing dataset")
-    p.add_argument("--out-dir", help="where to place generated clips")
+    p.add_argument("--epochs", **COUNT, default=cfg.epochs)
+    p.add_argument("--batch", **COUNT, default=cfg.batch_size)
+    p.add_argument("--lr", **RATE, default=cfg.learning_rate)
+    p.add_argument("--patience", **COUNT, default=cfg.plateau_patience)
+    p.add_argument("--seed", **SEED, default=7)
+    p.add_argument("--data", required=True, help="manifest, e.g. from synth-data")
     p.add_argument("--save-weights")
     p.set_defaults(func=cmd_train_toy)
 
@@ -334,45 +360,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weights")
     p.add_argument("--tensor", help="single clip tensor file")
     p.add_argument("--manifest", help="manifest of clips")
-    p.add_argument("--windows", type=int, default=4)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--windows", **COUNT, default=4)
+    p.add_argument("--seed", **SEED, default=0)
     p.set_defaults(func=cmd_infer)
 
     p = sub.add_parser("bench", help="forward wall-clock timing")
     _add_network_flags(p)
-    p.add_argument("--batch", type=int, default=4)
-    p.add_argument("--repeat", type=int, default=5)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--batch", **COUNT, default=4)
+    p.add_argument("--repeat", **COUNT, default=5)
+    p.add_argument("--seed", **SEED, default=0)
     p.set_defaults(func=cmd_bench)
     return parser
 
 
-# flags that count something; --classes needs 2 where a dataset is generated
-COUNT_FLAGS = ("classes", "clips_per_class", "windows", "trials",
-               "batch", "epochs", "repeat", "patience")
-RATE_FLAGS = ("lr", "width_mult")
-
-
-def _check_bounds(args) -> None:
-    """Every count flag at least 1 and every rate flag positive and finite,
-    checked before a command reads or writes anything; errors name the flag."""
-    synth = args.command == "synth-data" or (args.command == "train-toy" and not args.data)
-    for dest in COUNT_FLAGS + RATE_FLAGS:
-        value, flag = getattr(args, dest, None), "--" + dest.replace("_", "-")
-        if value is None:
-            continue
-        if dest in RATE_FLAGS and not (math.isfinite(value) and value > 0):
-            raise ValueError(f"{flag} must be positive and finite, got {value}")
-        least = 2 if dest == "classes" and synth else 1
-        if dest in COUNT_FLAGS and value < least:
-            raise ValueError(f"{flag} must be at least {least}, got {value}")
-
-
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        _check_bounds(args)
+        args = parser.parse_args(argv)  # raises ValueError on a bad flag value
         return args.func(args)
     except (ValueError, OSError) as e:
         print(f"lw3d: error: {e}", file=sys.stderr)

@@ -1,4 +1,4 @@
-"""Synthetic clip generation, clip sampling and augmentation.
+"""Synthetic clip generation, the clip manifest, clip loading and sampling.
 
 All randomness flows through explicit seeds; record k of a dataset uses
 seed ``global_seed ^ k`` so parallel and serial generation agree.
@@ -23,17 +23,6 @@ class ClipRecord:
     source: str = ""
 
 
-@dataclass(frozen=True)
-class AugmentConfig:
-    resize: tuple[int, int] = (256, 310)  # (height, width)
-    crop: int = 224
-    flip_prob: float = 0.5
-
-    def __post_init__(self):
-        if self.crop > min(self.resize):
-            raise ValueError(f"crop {self.crop} larger than resize target {self.resize}")
-
-
 def sample_clip(video: Tensor5D, length: int = 32, seed: int = 0) -> Tensor5D:
     """A uniformly random contiguous window of ``length`` frames; shorter
     videos are tiled cyclically until the length is reached."""
@@ -43,61 +32,6 @@ def sample_clip(video: Tensor5D, length: int = 32, seed: int = 0) -> Tensor5D:
         return Tensor5D(np.ascontiguousarray(video.data[:, :, start : start + length]))
     idx = np.arange(length) % t
     return Tensor5D(np.ascontiguousarray(video.data[:, :, idx]))
-
-
-def resize_bilinear(clip: Tensor5D, out_h: int, out_w: int) -> Tensor5D:
-    """Per-frame bilinear resize; never interpolates across time."""
-    n, c, t, h, w = clip.data.shape
-    ys = (np.arange(out_h) + 0.5) * (h / out_h) - 0.5
-    xs = (np.arange(out_w) + 0.5) * (w / out_w) - 0.5
-    y0 = np.clip(np.floor(ys).astype(int), 0, h - 1)
-    x0 = np.clip(np.floor(xs).astype(int), 0, w - 1)
-    y1 = np.clip(y0 + 1, 0, h - 1)
-    x1 = np.clip(x0 + 1, 0, w - 1)
-    wy = np.clip(ys - y0, 0.0, 1.0)[:, None]
-    wx = np.clip(xs - x0, 0.0, 1.0)[None, :]
-    d = clip.data.astype(np.float64)
-    top = d[..., y0, :][..., x0] * (1 - wx) + d[..., y0, :][..., x1] * wx
-    bot = d[..., y1, :][..., x0] * (1 - wx) + d[..., y1, :][..., x1] * wx
-    out = top * (1 - wy) + bot * wy
-    return Tensor5D(out)
-
-
-CROP_SITES = ("top-left", "top-right", "bottom-left", "bottom-right", "center")
-
-
-def crop_site_offsets(site: str, h: int, w: int, crop: int) -> tuple[int, int]:
-    if site == "top-left":
-        return 0, 0
-    if site == "top-right":
-        return 0, w - crop
-    if site == "bottom-left":
-        return h - crop, 0
-    if site == "bottom-right":
-        return h - crop, w - crop
-    if site == "center":
-        return (h - crop) // 2, (w - crop) // 2
-    raise ValueError(f"unknown crop site {site!r}")
-
-
-def flip_horizontal(clip: Tensor5D) -> Tensor5D:
-    return Tensor5D(np.ascontiguousarray(clip.data[..., ::-1]))
-
-
-def augment(clip: Tensor5D, cfg: AugmentConfig, seed: int = 0) -> Tensor5D:
-    """Resize, crop at one of the four corners or the center, maybe flip.
-    Deterministic for a given seed."""
-    rng = np.random.default_rng(seed)
-    rh, rw = cfg.resize
-    out = resize_bilinear(clip, rh, rw)
-    site = CROP_SITES[int(rng.integers(0, len(CROP_SITES)))]
-    oy, ox = crop_site_offsets(site, rh, rw, cfg.crop)
-    out = Tensor5D(
-        np.ascontiguousarray(out.data[..., oy : oy + cfg.crop, ox : ox + cfg.crop])
-    )
-    if rng.random() < cfg.flip_prob:
-        out = flip_horizontal(out)
-    return out
 
 
 def synth_clip(

@@ -54,6 +54,8 @@ WIDTH_TABLE: dict[str, InceptionWidths] = {
     "5c": InceptionWidths(384, 192, 384, 48, 128, 128),
 }
 
+SITES_4B = (8, 14, 14)  # module 4b's TxHxW sites in the canonical network
+
 MODULE_GROUPS = {
     "mg3": ("3b", "3c"),
     "mg4": ("4b", "4c", "4d", "4e", "4f"),
@@ -302,7 +304,7 @@ def build_inception_module(
     if variant not in ARCHS:
         raise ValueError(f"unknown variant {variant!r}")
     if input_shape is None:
-        input_shape = Shape5(1, in_channels, 8, 14, 14)
+        input_shape = Shape5(1, in_channels, *SITES_4B)
     b = _Builder(variant)
     b.add(LayerSpec("input", "input", input_shape))
     b.inception_module(name, widths, in_channels, "input", row=name)
@@ -428,14 +430,14 @@ class NetworkConfig:  # the defaults describe the canonical network
     width_overrides: dict[str, InceptionWidths] = field(default_factory=dict)
 
 
-def parse_shape_arg(text: str) -> tuple[int, ...]:
-    """Parse the CxTxHxW command-line / config shape form."""
+def parse_shape_arg(text: str, form: str = "CxTxHxW") -> tuple[int, ...]:
+    """Parse a command-line / config shape written in ``form``, CxTxHxW or TxHxW."""
     try:
         dims = tuple(int(v) for v in text.lower().split("x"))
     except ValueError as e:
         raise ValueError(f"bad shape {text!r}: {e}") from e
-    if any(d < 1 for d in dims):
-        raise ValueError(f"bad shape {text!r}: dims must be positive")
+    if len(dims) != form.count("x") + 1 or any(d < 1 for d in dims):
+        raise ValueError(f"bad shape {text!r}: expected {form} of positive integers")
     return dims
 
 
@@ -463,8 +465,6 @@ def parse_network_config(path) -> NetworkConfig:
             raise ValueError(f"{path}: [{section}] {key}: {e}") from None
 
     dims = value("network", "input", parse_shape_arg)
-    if len(dims) != 4:
-        raise ValueError(f"{path}: input must be CxTxHxW, got {cp['network']['input']!r}")
     overrides: dict[str, InceptionWidths] = {}
     for section in cp.sections():
         if section.startswith("widths."):

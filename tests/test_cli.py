@@ -35,6 +35,15 @@ class TestExitCodes:
         assert code == 2
         assert "error" in err
 
+    def test_train_toy_without_data_is_usage_error(self, capsys, tmp_path, monkeypatch):
+        # synth-data is the one writer of a dataset; train-toy only reads one
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as e:
+            main(["train-toy", *TOY_NET, "--epochs", "1"])
+        assert e.value.code == 1
+        assert "--data" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_analyze_without_arch_is_data_error(self, capsys):
         code, _, err = run(capsys, "analyze")
         assert code == 2
@@ -44,6 +53,12 @@ class TestExitCodes:
 TOY_NET = (
     "--arch", "gsst", "--input", "3x8x32x32", "--classes", "2", "--width-mult", "0.125",
 )
+
+
+def toy_manifest(tmp_path) -> str:
+    """A two-clip dataset that fits TOY_NET, as synth-data writes it."""
+    synth_dataset(2, 1, (3, 8, 32, 32), 0, str(tmp_path / "data"))
+    return str(tmp_path / "data" / "manifest.tsv")
 
 
 class TestNonPositiveCounts:
@@ -87,7 +102,7 @@ class TestNonPositiveCounts:
     def test_train_toy_zero_batch(self, capsys, tmp_path):
         code, _, err = run(
             capsys, "train-toy", *TOY_NET, "--batch", "0", "--epochs", "1",
-            "--clips-per-class", "1", "--out-dir", str(tmp_path / "data"),
+            "--data", toy_manifest(tmp_path),
         )
         assert code == 2
         assert "--batch must be at least 1, got 0" in err
@@ -95,8 +110,8 @@ class TestNonPositiveCounts:
     def test_train_toy_zero_epochs(self, capsys, tmp_path):
         weights = tmp_path / "w.lw3d"
         code, out, err = run(
-            capsys, "train-toy", *TOY_NET, "--epochs", "0", "--clips-per-class", "1",
-            "--out-dir", str(tmp_path / "data"), "--save-weights", str(weights),
+            capsys, "train-toy", *TOY_NET, "--epochs", "0", "--data", toy_manifest(tmp_path),
+            "--save-weights", str(weights),
         )
         assert code == 2
         assert "epochs must be at least 1, got 0" in err
@@ -129,18 +144,12 @@ class TestNonPositiveCounts:
 
     @pytest.mark.parametrize(
         "argv,message",
-        [
-            (("train-toy", *TOY_NET, "--clips-per-class", "0"),
-             "--clips-per-class must be at least 1, got 0"),
-            (("train-toy", *TOY_NET, "--classes", "1"), "--classes must be at least 2, got 1"),
-            (("synth-data", "--classes", "1"), "--classes must be at least 2, got 1"),
-        ],
-        ids=["train-toy-zero-clips", "train-toy-one-class", "synth-data-one-class"],
+        [(("synth-data", "--classes", "1"), "--classes must be at least 2, got 1")],
+        ids=["synth-data-one-class"],
     )
     def test_generated_dataset_counts_name_the_flag(self, capsys, tmp_path, argv, message):
         out_dir = tmp_path / "data"
-        flag = "--out" if argv[0] == "synth-data" else "--out-dir"
-        code, out, err = run(capsys, *argv, flag, str(out_dir))
+        code, out, err = run(capsys, *argv, "--out", str(out_dir))
         assert code == 2
         assert message in err
         assert len(err.strip().splitlines()) == 1
@@ -155,9 +164,7 @@ class TestNonPositiveCounts:
         (("synth-data",), "--classes", "1", "at least 2, got 1"),
         (("synth-data",), "--clips-per-class", "0", "at least 1, got 0"),
         (("gradcheck", "--op", "relu"), "--trials", "0", "at least 1, got 0"),
-        (("train-toy", *TOY_NET), "--classes", "1", "at least 2, got 1"),
-        (("train-toy", *TOY_NET, "--data", "m.tsv"), "--classes", "0", "at least 1, got 0"),
-        (("train-toy", *TOY_NET), "--clips-per-class", "0", "at least 1, got 0"),
+        (("train-toy", *TOY_NET), "--classes", "0", "at least 1, got 0"),
         (("train-toy", *TOY_NET), "--batch", "0", "at least 1, got 0"),
         (("train-toy", *TOY_NET), "--epochs", "0", "at least 1, got 0"),
         (("train-toy", *TOY_NET), "--patience", "0", "at least 1, got 0"),
@@ -184,7 +191,7 @@ class TestNonPositiveCounts:
         if argv[0] == "synth-data":
             argv = (*argv, "--out", "data")
         if argv[0] == "train-toy":
-            argv = (*argv, "--out-dir", "data", "--save-weights", "w.lw3d")
+            argv = (*argv, "--data", "m.tsv", "--save-weights", "w.lw3d")
         code, out, err = run(capsys, *argv, flag, value)
         assert code == 2
         assert err.strip() == f"lw3d: error: {flag} must be {message}"
@@ -211,9 +218,13 @@ MALFORMED_CORPUS = {
     "ragged.csv": "0.5,0.5\n0.5\n",
     "non-numeric.csv": "0.5,0.5\nx,0.5\n",
     "non-integer-labels.csv": "0\nx\n",
+    # clip.lw3d fits TOY_NET, but TOY_NET has two classes
+    "label-2.tsv": "clip.lw3d\t0\trgb\ts\nclip.lw3d\t2\trgb\ts\n",
 }
 # a well-formed score file, for the fuse inputs that are not under test
 SCORES = "scores.csv"
+# a well-formed clip, which the manifests above name
+CLIP = "clip.lw3d"
 
 
 @pytest.mark.parametrize(
@@ -231,21 +242,46 @@ SCORES = "scores.csv"
             "non-integer-labels.csv",
             ("fuse", "--scores-a", SCORES, "--scores-b", SCORES, "--labels"),
         ),
+        ("label-2.tsv", ("train-toy", *TOY_NET, "--data")),
+        # from here on a flag's value is at fault, and the flag is named
+        ("--input", ("analyze", "--arch", "i3d", "--input", "3x0x4x4")),
+        ("--input", ("infer", "--arch", "gsst", "--tensor", CLIP, "--input", "3xax4x4")),
+        ("--input", ("bench", "--arch", "gsst", "--input", "3x8x32")),
+        ("--shape", ("synth-data", "--out", "data", "--shape", "3x0x4x4")),
+        ("--seed", ("synth-data", "--out", "data", "--seed", "-1")),
+        ("--sites", ("compare-factorizations", "--in", "4", "--out", "4", "--sites", "0x1x1")),
+        ("--sites", ("compare-factorizations", "--in", "4", "--out", "4", "--sites", "8x14")),
+        ("--in", ("compare-factorizations", "--out", "4", "--in", "0")),
+        ("--out", ("compare-factorizations", "--in", "4", "--out", "0")),
+        ("--k", ("compare-factorizations", "--in", "4", "--out", "4", "--k", "2")),
+        ("--acc-a", ("fuse", "--scores-a", SCORES, "--scores-b", SCORES, "--strategy", "ms2",
+                     "--acc-b", "0.9", "--acc-a", "1.5")),
+        ("--seed", ("gradcheck", "--op", "relu", "--seed", "-1")),
+        ("--seed", ("train-toy", *TOY_NET, "--data", "m.tsv", "--seed", "-1")),
+        ("--seed", ("infer", *TOY_NET, "--tensor", CLIP, "--seed", "-1")),
     ],
 )
-def test_malformed_file_is_one_line_data_error(capsys, tmp_path, name, argv):
-    path = tmp_path / name
-    path.write_text(MALFORMED_CORPUS[name])
+def test_malformed_file_is_one_line_data_error(capsys, tmp_path, monkeypatch, name, argv):
+    """A malformed file or flag value, in every subcommand, exits 2 with one
+    stderr line that names the file or the flag, and prints and writes nothing."""
+    monkeypatch.chdir(tmp_path)
+    tensor.save_tensor(CLIP, synth_clip(0, 2, (3, 8, 32, 32), np.random.default_rng(0)))
     (tmp_path / SCORES).write_text("0.5,0.5\n0.4,0.6\n")
-    argv = [str(tmp_path / a) if a == SCORES else a for a in argv]
-    code, out, err = run(capsys, *argv, str(path))
+    if name in MALFORMED_CORPUS:
+        (tmp_path / name).write_text(MALFORMED_CORPUS[name])
+        argv = (*argv, name)
+    before = sorted(tmp_path.iterdir())
+    code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
-    assert str(path) in err
+    assert name in err
     if name.endswith(".csv"):
         assert ": line 2: " in err  # every csv fault sits on its second line
+    if name.startswith("--"):
+        assert err.startswith(f"lw3d: error: {name} must be ")
     assert "Traceback" not in err
     assert len(err.strip().splitlines()) == 1
+    assert sorted(tmp_path.iterdir()) == before
 
 
 NARROW_4C = InceptionWidths(8, 8, 16, 8, 16, 8)
@@ -477,6 +513,23 @@ class TestClipShapeContract:
         assert code == 2
         assert err.startswith(f"lw3d: error: {records[0].path}: clip ")
         assert len(err.strip().splitlines()) == 1
+        assert out == ""
+        assert not weights.exists()
+
+    def test_train_toy_names_manifest_and_clip_of_a_label_outside_the_classes(
+        self, capsys, tmp_path
+    ):
+        records = synth_dataset(3, 1, (3, 8, 32, 32), 0, str(tmp_path / "data"))
+        manifest = str(tmp_path / "data" / "manifest.tsv")
+        weights = tmp_path / "w.lw3d"
+        code, out, err = run(
+            capsys, "train-toy", *TOY_NET, "--data", manifest, "--save-weights", str(weights)
+        )
+        assert code == 2
+        assert err == (
+            f"lw3d: error: {manifest}: {records[2].path}: label 2 is not one of the "
+            "network's 2 classes\n"
+        )
         assert out == ""
         assert not weights.exists()
 

@@ -3,15 +3,9 @@ import pytest
 
 from lw3d import dataio, tensor
 from lw3d.dataio import (
-    AugmentConfig,
     ClipRecord,
-    CROP_SITES,
-    augment,
-    crop_site_offsets,
-    flip_horizontal,
     load_clip,
     read_manifest,
-    resize_bilinear,
     sample_clip,
     synth_clip,
     synth_dataset,
@@ -47,80 +41,6 @@ class TestSampleClip:
     def test_exact_length_passthrough(self):
         v = frames_video(4)
         assert sample_clip(v, length=4, seed=9) == v
-
-
-class TestResize:
-    def test_identity_when_shape_matches(self):
-        rng = np.random.default_rng(0)
-        x = Tensor5D(rng.standard_normal((1, 2, 2, 5, 7)).astype(np.float32))
-        y = resize_bilinear(x, 5, 7)
-        assert np.allclose(y.data, x.data, atol=1e-6)
-
-    def test_constant_image_stays_constant(self):
-        x = Tensor5D(np.full((1, 1, 1, 4, 4), 3.5, dtype=np.float32))
-        y = resize_bilinear(x, 9, 13)
-        assert np.allclose(y.data, 3.5)
-
-    def test_upscale_2x_interpolates_midpoints(self):
-        x = Tensor5D(
-            np.array([[0.0, 1.0]], dtype=np.float32).reshape(1, 1, 1, 1, 2)
-        )
-        y = resize_bilinear(x, 1, 4)
-        # sample centers at source coords -0.25, 0.25, 0.75, 1.25 (clamped)
-        assert y.data.reshape(-1) == pytest.approx([0.0, 0.25, 0.75, 1.0])
-
-    def test_time_axis_untouched(self):
-        v = frames_video(5)
-        y = resize_bilinear(v, 8, 8)
-        assert np.array_equal(y.data[0, 0, :, 0, 0], np.arange(5))
-
-
-class TestCropAndFlip:
-    def test_center_offsets_for_standard_geometry(self):
-        assert crop_site_offsets("center", 256, 310, 224) == (16, 43)
-
-    def test_corner_offsets(self):
-        assert crop_site_offsets("top-left", 256, 310, 224) == (0, 0)
-        assert crop_site_offsets("bottom-right", 256, 310, 224) == (32, 86)
-
-    def test_unknown_site(self):
-        with pytest.raises(ValueError):
-            crop_site_offsets("middle", 256, 310, 224)
-
-    def test_flip_reverses_width(self):
-        x = Tensor5D(
-            np.arange(6, dtype=np.float32).reshape(1, 1, 1, 2, 3)
-        )
-        y = flip_horizontal(x)
-        assert y.data[0, 0, 0, 0].tolist() == [2.0, 1.0, 0.0]
-        assert flip_horizontal(y) == x
-
-    def test_augment_deterministic_and_correct_shape(self):
-        rng = np.random.default_rng(1)
-        clip = Tensor5D(rng.standard_normal((1, 3, 4, 64, 80)).astype(np.float32))
-        cfg = AugmentConfig(resize=(32, 40), crop=28)
-        a = augment(clip, cfg, seed=7)
-        b = augment(clip, cfg, seed=7)
-        assert a == b
-        assert a.shape == (1, 3, 4, 28, 28)
-
-    def test_augment_covers_all_crop_sites(self):
-        rng = np.random.default_rng(2)
-        clip = Tensor5D(rng.standard_normal((1, 1, 1, 16, 20)).astype(np.float32))
-        cfg = AugmentConfig(resize=(8, 10), crop=6, flip_prob=0.0)
-        resized = resize_bilinear(clip, 8, 10)
-        seen = set()
-        for seed in range(40):
-            out = augment(clip, cfg, seed=seed)
-            for site in CROP_SITES:
-                oy, ox = crop_site_offsets(site, 8, 10, 6)
-                if np.array_equal(out.data, resized.data[..., oy : oy + 6, ox : ox + 6]):
-                    seen.add(site)
-        assert seen == set(CROP_SITES)
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            AugmentConfig(resize=(10, 10), crop=12)
 
 
 class TestSyntheticData:
