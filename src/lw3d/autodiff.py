@@ -26,9 +26,13 @@ from .tensor import Shape5, Tensor5D
 def conv3d_backward(
     x: Tensor5D, spec: Conv3DSpec, weights: np.ndarray, gout: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Input and weight gradients of the bias-free convolution."""
+    """Input and weight gradients of the bias-free convolution.
+
+    Both are 2-D GEMMs against one clip's patch matrix at a time, so only
+    one clip's ``cols`` and ``gcols`` are alive at once."""
     out_shape = spec.output_shape(x.shape)
-    # operands already in COMPUTE keep einsum off its slower casting path
+    # cast once here: a float32 weight is cast again by every per-clip matmul,
+    # which made the train-dense conv backwards 6% slower
     w = np.asarray(weights, dtype=COMPUTE)
     g = np.asarray(gout, dtype=COMPUTE).reshape(out_shape)
     xp = ops._pad_input(x.data, spec.padding)
@@ -36,16 +40,19 @@ def conv3d_backward(
     og = spec.out_channels // spec.groups
     out_dims = (out_shape.t, out_shape.h, out_shape.w)
     gxp = np.zeros(xp.shape, COMPUTE)
-    gw = np.empty(w.shape, COMPUTE)
+    gw = np.zeros((spec.out_channels, cg * math.prod(spec.kernel)), COMPUTE)
     for gi in range(spec.groups):
         cs, os_ = slice(gi * cg, (gi + 1) * cg), slice(gi * og, (gi + 1) * og)
-        cols = ops._im2col(xp[:, cs], spec.kernel, out_dims, spec.stride)
-        gmat = g[:, os_].reshape(x.n, og, -1)
-        gw[os_] = np.einsum("nol,nkl->ok", gmat, cols).reshape(og, cg, *spec.kernel)
-        gcols = np.einsum("ok,nol->nkl", w[os_].reshape(og, -1), gmat)
-        gcols = gcols.reshape(x.n, cg, -1, *out_dims)
-        ops._col2im(gxp[:, cs], lambda k: gcols[:, :, k], spec.kernel, out_dims, spec.stride)
-    return _unpad(gxp, spec.padding), gw
+        wmat = w[os_].reshape(og, -1)
+        for i in range(x.n):
+            cols = ops._im2col(xp[i : i + 1, cs], spec.kernel, out_dims, spec.stride)[0]
+            gmat = g[i, os_].reshape(og, -1)
+            gw[os_] += gmat @ cols.T
+            gcols = (wmat.T @ gmat).reshape(1, cg, -1, *out_dims)
+            ops._col2im(
+                gxp[i : i + 1, cs], lambda k: gcols[:, :, k], spec.kernel, out_dims, spec.stride
+            )
+    return _unpad(gxp, spec.padding), gw.reshape(w.shape)
 
 
 def _unpad(xp: np.ndarray, padding) -> np.ndarray:
@@ -65,13 +72,17 @@ def pool3d_backward(x: Tensor5D, spec: PoolSpec, gout: np.ndarray) -> np.ndarray
         ops._col2im(gxp, lambda k: share, spec.kernel, out_dims, spec.stride)
         return _unpad(gxp, spec.padding)
     best = np.full(out_shape, -np.inf, dtype=xp.dtype)
-    best_k = np.zeros(out_shape, dtype=np.int32)
+    # the smallest unsigned dtype that holds every tap index
+    best_k = np.zeros(out_shape, dtype=np.min_scalar_type(math.prod(spec.kernel) - 1))
+    mask = np.empty(out_shape, dtype=bool)
     for k, tap in enumerate(ops._taps(spec.kernel)):
         view = ops._offset_view(xp, tap, out_dims, spec.stride)
-        mask = view > best
-        best[mask] = view[mask]
-        best_k[mask] = k
-    ops._col2im(gxp, lambda k: g * (best_k == k), spec.kernel, out_dims, spec.stride)
+        np.greater(view, best, out=mask)  # strict: an equal later tap never wins
+        np.copyto(best, view, where=mask)
+        np.copyto(best_k, k, where=mask)
+    ops._col2im(
+        gxp, lambda k: np.where(best_k == k, g, 0.0), spec.kernel, out_dims, spec.stride
+    )
     return _unpad(gxp, spec.padding)
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import math
+import os
 import statistics
 import sys
 import time
@@ -65,6 +66,13 @@ ACCURACY = _bounded(float, "in [0, 1]", lambda v: 0 <= v <= 1)
 KERNEL = _bounded(int, "odd and positive", lambda v: v > 0 and v % 2 == 1)
 
 
+# a file written only after the work, so its directory is checked before it
+OUT_FILE = _bounded(
+    str, "a file in an existing directory",
+    lambda v: os.path.isdir(os.path.dirname(v) or ".") and not os.path.isdir(v),
+)
+
+
 def _shape(form: str) -> dict:
     """``add_argument`` keywords of a flag holding a shape written in ``form``."""
     return {"action": _Checked, "check": lambda text: graph.parse_shape_arg(text, form),
@@ -80,7 +88,15 @@ def _network_from_args(args) -> graph.ModuleGraph:
     dims = args.input or cfg.input
     classes = cfg.classes if args.classes is None else args.classes
     mult = cfg.width_mult if args.width_mult is None else args.width_mult
-    return graph.build_network(arch, Shape5(1, *dims), classes, mult, cfg.width_overrides)
+    try:
+        return graph.build_network(arch, Shape5(1, *dims), classes, mult, cfg.width_overrides)
+    except graph.ShapeError as e:  # e.g. an input smaller than the network's pools
+        text = "x".join(map(str, dims))
+        source = (
+            f"--input must be a shape {arch} fits, got {text!r}" if args.input
+            else f"{args.config}: [network] input {text} does not fit {arch}"
+        )
+        raise ValueError(f"{source}: {e}") from None
 
 
 def _load_clips(records, g: graph.ModuleGraph, match_t: bool) -> list[Tensor5D]:
@@ -256,10 +272,8 @@ def cmd_infer(args) -> int:
     )
     if args.manifest:
         records = dataio.read_manifest(args.manifest)
-    elif args.tensor:
-        records = [dataio.ClipRecord(args.tensor, 0)]  # infer reads no label
     else:
-        raise ValueError("infer needs --tensor or --manifest")
+        records = [dataio.ClipRecord(args.tensor, 0)]  # infer reads no label
     clips = _load_clips(records, g, match_t=False)  # windows are sampled to T
     rng = np.random.default_rng(args.seed)
     writer = csv.writer(sys.stdout, lineterminator="\n")
@@ -352,14 +366,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--patience", **COUNT, default=cfg.plateau_patience)
     p.add_argument("--seed", **SEED, default=7)
     p.add_argument("--data", required=True, help="manifest, e.g. from synth-data")
-    p.add_argument("--save-weights")
+    p.add_argument("--save-weights", **OUT_FILE)
     p.set_defaults(func=cmd_train_toy)
 
     p = sub.add_parser("infer", help="score clips with a weight file")
     _add_network_flags(p)
     p.add_argument("--weights")
-    p.add_argument("--tensor", help="single clip tensor file")
-    p.add_argument("--manifest", help="manifest of clips")
+    clips = p.add_mutually_exclusive_group(required=True)
+    clips.add_argument("--tensor", help="single clip tensor file")
+    clips.add_argument("--manifest", help="manifest of clips")
     p.add_argument("--windows", **COUNT, default=4)
     p.add_argument("--seed", **SEED, default=0)
     p.set_defaults(func=cmd_infer)

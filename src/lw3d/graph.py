@@ -366,6 +366,10 @@ def build_network(
     return ModuleGraph(b.layers, arch, input_shape, num_classes, notes=b.notes)
 
 
+class ShapeError(ValueError):
+    """A layer's input shape does not fit it; raised by ``infer_shapes``."""
+
+
 def infer_shapes(g: ModuleGraph, input_shape: Shape5 | None = None) -> dict[str, Shape5]:
     """Propagate shapes through the DAG; raises naming the first bad layer."""
     shapes: dict[str, Shape5] = {}
@@ -412,7 +416,7 @@ def infer_shapes(g: ModuleGraph, input_shape: Shape5 | None = None) -> dict[str,
             else:
                 raise ValueError(f"unknown layer kind {layer.kind!r}")
         except ValueError as e:
-            raise ValueError(f"shape inference failed at {layer.id!r}: {e}") from e
+            raise ShapeError(f"shape inference failed at {layer.id!r}: {e}") from e
     return shapes
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import importlib.util
 import io
 import struct
@@ -63,6 +64,28 @@ BUILDER_POOLS = sorted(
     },
     key=repr,
 )
+
+
+# strided, padded and grouped convs
+STRIDED_CONVS = [
+    Conv3DSpec(2, 4, (3, 3, 3), (2, 2, 2), (1, 1, 1)),
+    Conv3DSpec(4, 4, (1, 3, 3), (1, 2, 2), (0, 1, 1), 2),
+    Conv3DSpec(4, 6, (3, 1, 1), (2, 1, 1), (1, 0, 0), 2),
+]
+
+
+def first_max_pool_backward(x: np.ndarray, spec: PoolSpec, gout: np.ndarray) -> np.ndarray:
+    """Reference max-pool backward, one window at a time: ``np.argmax`` over
+    the flattened window picks its first maximum in layout order."""
+    pads = [(0, 0), (0, 0), *((p, p) for p in spec.padding)]
+    xp = np.pad(x.astype(np.float64), pads, constant_values=-np.inf)
+    gxp = np.zeros(xp.shape)
+    for n, c, *o in np.ndindex(*gout.shape):
+        corner = [oi * s for oi, s in zip(o, spec.stride)]
+        window = tuple(slice(a, a + k) for a, k in zip(corner, spec.kernel))
+        tap = np.unravel_index(np.argmax(xp[(n, c, *window)]), spec.kernel)
+        gxp[(n, c, *(a + t for a, t in zip(corner, tap)))] += gout[(n, c, *o)]
+    return autodiff._unpad(gxp, spec.padding)
 
 
 DTYPE_X = Tensor5D(np.random.default_rng(1).standard_normal((2, 4, 3, 4, 4)))
@@ -158,17 +181,39 @@ class TestOperatorGradients:
     def test_builder_pool_windows_match_finite_differences(self, spec):
         assert gradcheck._check_pool(np.random.default_rng(0), spec) <= 1e-2
 
-    @pytest.mark.parametrize(
-        "spec",
-        [
-            Conv3DSpec(2, 4, (3, 3, 3), (2, 2, 2), (1, 1, 1)),
-            Conv3DSpec(4, 4, (1, 3, 3), (1, 2, 2), (0, 1, 1), 2),
-            Conv3DSpec(4, 6, (3, 1, 1), (2, 1, 1), (1, 0, 0), 2),
-        ],
-        ids=repr,
-    )
+    def test_max_pool_backward_over_255_taps_matches_first_max_reference(self):
+        """A 7x7x7 window has 343 taps, more than a uint8 tap index holds; the
+        batch-2 input is all ties except late maxima placed past tap 255."""
+        spec = PoolSpec("max", (7, 7, 7), (2, 3, 3), (3, 3, 3))
+        rng = np.random.default_rng(5)
+        x = rng.integers(0, 2, (2, 2, 7, 9, 9)).astype(np.float32)
+        x[1, 0] = 0.0
+        x[1, 0, 6, 6, 5:] = 1.0  # tied maxima past tap 255 of the last windows
+        y = ops.pool3d(Tensor5D(x), spec)
+        # integer gradients sum exactly in any order where windows overlap
+        gout = rng.integers(-8, 9, y.shape).astype(np.float64)
+        gx = autodiff.pool3d_backward(Tensor5D(x), spec, gout)
+        assert np.array_equal(gx, first_max_pool_backward(x, spec, gout))
+
+    @pytest.mark.parametrize("spec", STRIDED_CONVS, ids=repr)
     def test_strided_padded_conv_matches_finite_differences(self, spec):
         assert gradcheck._check_conv(np.random.default_rng(0), spec) <= 1e-2
+
+    @pytest.mark.parametrize("spec", STRIDED_CONVS, ids=repr)
+    def test_conv_backward_of_a_batch_is_its_clips_backwards(self, spec):
+        rng = np.random.default_rng(4)
+        x = Tensor5D(rng.standard_normal((3, spec.in_channels, 5, 6, 7)))
+        w = rng.standard_normal(spec.weight_shape).astype(np.float32)
+        gout = rng.standard_normal(tuple(spec.output_shape(x.shape)))
+        gx, gw = autodiff.conv3d_backward(x, spec, w, gout)
+        per_clip = [
+            autodiff.conv3d_backward(Tensor5D(x.data[i : i + 1]), spec, w, gout[i : i + 1])
+            for i in range(3)
+        ]
+        for i, (gx_i, _) in enumerate(per_clip):
+            assert np.array_equal(gx[i : i + 1], gx_i)
+        gw_sum = sum(gw_i for _, gw_i in per_clip)
+        assert np.abs(gw - gw_sum).max() <= 1e-12 * np.abs(gw_sum).max()
 
     def test_avg_pool_spreads_uniformly(self):
         x = Tensor5D(np.zeros((1, 1, 2, 2, 2), dtype=np.float32))
@@ -551,6 +596,24 @@ class TestTraining:
         assert h1 == h2
         for lid in p1.conv:
             assert np.array_equal(p1.conv[lid].value, p2.conv[lid].value)
+
+    # sha256 of a short run's history and saved weight bytes: batches of 3
+    # and 1 clips, two epochs, each arch at toy width
+    RUN_PINS = {
+        "i3d": "bc6319b7dfc01ad5",
+        "ist": "a29819d2a1212e95",
+        "sst": "638a3af40e67f024",
+        "gsst": "d582f2aa0d6f4a0c",
+    }
+
+    @pytest.mark.parametrize("arch", ARCHS)
+    def test_short_run_is_pinned(self, arch, tmp_path):
+        g = toy_net(arch)
+        cfg = TrainConfig(learning_rate=0.01, epochs=2, batch_size=3)
+        history, params = train_toy(g, toy_dataset(4), cfg, seed=5)
+        save_weights(tmp_path / "w.lw3d", g, params)
+        h = hashlib.sha256(repr(history).encode() + (tmp_path / "w.lw3d").read_bytes())
+        assert h.hexdigest()[:16] == self.RUN_PINS[arch]
 
     @pytest.mark.parametrize("arch", ["i3d", "ist", "sst", "gsst"])
     def test_two_clip_overfit(self, arch):

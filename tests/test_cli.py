@@ -220,6 +220,7 @@ MALFORMED_CORPUS = {
     "non-integer-labels.csv": "0\nx\n",
     # clip.lw3d fits TOY_NET, but TOY_NET has two classes
     "label-2.tsv": "clip.lw3d\t0\trgb\ts\nclip.lw3d\t2\trgb\ts\n",
+    "small-input.ini": "[network]\narch = i3d\ninput = 3x4x4x4\n",
 }
 # a well-formed score file, for the fuse inputs that are not under test
 SCORES = "scores.csv"
@@ -259,6 +260,13 @@ CLIP = "clip.lw3d"
         ("--seed", ("gradcheck", "--op", "relu", "--seed", "-1")),
         ("--seed", ("train-toy", *TOY_NET, "--data", "m.tsv", "--seed", "-1")),
         ("--seed", ("infer", *TOY_NET, "--tensor", CLIP, "--seed", "-1")),
+        # new cases go last: a case's id holds its position in this list
+        ("small-input.ini", ("analyze", "--config")),
+        ("--input", ("analyze", "--arch", "i3d", "--input", "3x4x4x4")),
+        # checked before the manifest is read, not after training
+        ("--save-weights", ("train-toy", *TOY_NET, "--data", "m.tsv",
+                            "--save-weights", "missing/w.lw3d")),
+        ("--save-weights", ("train-toy", *TOY_NET, "--data", "m.tsv", "--save-weights", ".")),
     ],
 )
 def test_malformed_file_is_one_line_data_error(capsys, tmp_path, monkeypatch, name, argv):
@@ -282,6 +290,28 @@ def test_malformed_file_is_one_line_data_error(capsys, tmp_path, monkeypatch, na
     assert "Traceback" not in err
     assert len(err.strip().splitlines()) == 1
     assert sorted(tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize(
+    "argv,source",
+    [
+        (("--arch", "i3d", "--input", "3x4x4x4"),
+         "--input must be a shape i3d fits, got '3x4x4x4'"),
+        (("--config", "small-input.ini"),
+         "small-input.ini: [network] input 3x4x4x4 does not fit i3d"),
+    ],
+    ids=["flag", "config"],
+)
+def test_too_small_input_names_its_source_and_the_layer(capsys, tmp_path, monkeypatch,
+                                                       argv, source):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "small-input.ini").write_text(MALFORMED_CORPUS["small-input.ini"])
+    code, out, err = run(capsys, "analyze", *argv)
+    assert code == 2
+    assert err.strip() == (
+        f"lw3d: error: {source}: shape inference failed at 'maxp4': nonpositive pool "
+        "output extent [0, 0, 0] for input (1, 832, 1, 1, 1)"
+    )
 
 
 NARROW_4C = InceptionWidths(8, 8, 16, 8, 16, 8)
@@ -485,9 +515,17 @@ class TestTrainInferRoundTrip:
         assert "Traceback" not in err
 
     def test_infer_requires_some_input(self, capsys):
-        code, _, err = run(capsys, "infer", "--arch", "i3d")
-        assert code == 2
-        assert "--tensor or --manifest" in err
+        with pytest.raises(SystemExit) as e:
+            main(["infer", "--arch", "i3d"])
+        assert e.value.code == 1
+        assert "one of the arguments --tensor --manifest is required" in capsys.readouterr().err
+
+    def test_infer_takes_one_clip_source(self, capsys):
+        # scoring only the manifest would drop the tensor without a word
+        with pytest.raises(SystemExit) as e:
+            main(["infer", "--arch", "i3d", "--tensor", "a.lw3d", "--manifest", "m.tsv"])
+        assert e.value.code == 1
+        assert "--manifest: not allowed with argument --tensor" in capsys.readouterr().err
 
 
 class TestClipShapeContract:
