@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -204,8 +205,9 @@ def save_weights(path, g: ModuleGraph, p: NetworkParams) -> None:
 
 
 def load_weights(path, g: ModuleGraph) -> NetworkParams:
-    """Read a weight file back, validating every record against the graph;
-    errors name the file and the first offending layer."""
+    """Read a weight file back, validating every record against the graph
+    (shape, finite values, nonnegative bn variance); errors name the file and
+    the first offending layer."""
     p = NetworkParams()
     with open(path, "rb") as f:
         for layer in parameterized_layers(g):
@@ -216,10 +218,14 @@ def load_weights(path, g: ModuleGraph) -> NetworkParams:
                     f"{label}: {layer.kind} record {data.shape} "
                     f"!= expected {_record_shape(layer)}"
                 )
+            if not np.isfinite(data).all():
+                raise ValueError(f"{label}: {layer.kind} record holds a non-finite value")
             if layer.kind == "conv":
                 p.conv[layer.id] = Parameter.of(data)
             else:
                 rows = data.reshape(4, layer.params)
+                if (rows[3] < 0).any():
+                    raise ValueError(f"{label}: bn variance row holds a negative value")
                 p.bn[layer.id] = BnState(
                     Parameter.of(rows[0]), Parameter.of(rows[1]),
                     rows[2].copy(), rows[3].copy(),
@@ -241,6 +247,48 @@ def _resolve(acts: dict[str, Tensor5D], g: ModuleGraph, ref: str) -> Tensor5D:
     return x if channels == slice(None) else Tensor5D(x.data[:, channels])
 
 
+def _conv_backward(layer: LayerSpec, p: NetworkParams, xs, gout) -> list[np.ndarray]:
+    gx, gw = conv3d_backward(xs[0], layer.params, p.conv[layer.id].value, gout)
+    p.conv[layer.id].grad += gw
+    return [gx]
+
+
+def _bn_backward(layer: LayerSpec, p: NetworkParams, xs, gout) -> list[np.ndarray]:
+    st = p.bn[layer.id]
+    gx, ggamma, gbeta = batchnorm_backward(xs[0], st.params(), gout)
+    st.gamma.grad += ggamma
+    st.beta.grad += gbeta
+    return [gx]
+
+
+# kind -> (forward(layer, params, inputs, counter) -> activation, backward(layer,
+# params, inputs, gout) -> one gradient per input).  Each entry looks its op up
+# when called, so a function swapped in at its module attribute (a tracer, the
+# conv3d_direct oracle) runs.  softmax has no backward: the loss seeds its input.
+KINDS = {
+    "conv": (
+        lambda l, p, xs, c: ops.conv3d_lowered(xs[0], l.params, p.conv[l.id].value, c, l.id),
+        _conv_backward,
+    ),
+    "pool": (
+        lambda l, p, xs, c: ops.pool3d(xs[0], l.params),
+        lambda l, p, xs, g: [pool3d_backward(xs[0], l.params, g)],
+    ),
+    "bn": (lambda l, p, xs, c: ops.batchnorm_infer(xs[0], p.bn[l.id].params()), _bn_backward),
+    "relu": (lambda l, p, xs, c: tensor.relu(xs[0]), lambda l, p, xs, g: [relu_backward(xs[0], g)]),
+    "shuffle": (
+        lambda l, p, xs, c: ops.channel_shuffle(xs[0], l.params),
+        lambda l, p, xs, g: [channel_shuffle_backward(g, l.params, xs[0].c)],
+    ),
+    "split": (lambda l, p, xs, c: xs[0], lambda l, p, xs, g: [g]),  # slices made on demand
+    "concat": (
+        lambda l, p, xs, c: tensor.concat_channels(xs),
+        lambda l, p, xs, g: np.split(g, np.cumsum([x.c for x in xs[:-1]]), axis=1),
+    ),
+    "softmax": (lambda l, p, xs, c: ops.softmax_channels(xs[0]), None),
+}
+
+
 def calibrate_init(g: ModuleGraph, p: NetworkParams, x: Tensor5D) -> None:
     """Data-driven rescale of a freshly initialized network.
 
@@ -250,58 +298,37 @@ def calibrate_init(g: ModuleGraph, p: NetworkParams, x: Tensor5D) -> None:
     batch-norm layer's frozen statistics at the empirical moments of its
     input, so both activations and gradients stay at usable scale.
     Run once right after ``init_params``; statistics stay fixed afterwards."""
-    forward(g, p, x, calibrate=True)
+
+    def around(layer: LayerSpec, xs: list[Tensor5D], run) -> Tensor5D:
+        if layer.kind == "bn":
+            st, d = p.bn[layer.id], xs[0].data.astype(COMPUTE)
+            st.mean = d.mean(axis=(0, 2, 3, 4)).astype(np.float32)
+            # floor keeps 1/sqrt(var) from amplifying noise channels
+            st.var = np.maximum(d.var(axis=(0, 2, 3, 4)), 1e-2).astype(np.float32)
+        y = run()
+        s = float(y.data.std()) if layer.kind == "conv" else 0.0
+        if s > 1e-8:
+            par = p.conv[layer.id]
+            par.value = (par.value / s).astype(np.float32)
+            y = Tensor5D(y.data / np.float32(s))
+        return y
+
+    forward(g, p, x, around=around)
 
 
 def forward(
-    g: ModuleGraph,
-    p: NetworkParams,
-    x: Tensor5D,
-    counter: MacCounter | None = None,
-    calibrate: bool = False,
+    g: ModuleGraph, p: NetworkParams, x: Tensor5D, counter: MacCounter | None = None, around=None
 ) -> dict[str, Tensor5D]:
-    """Run the graph, returning every layer's activation keyed by id."""
-    acts: dict[str, Tensor5D] = {}
+    """Run the graph, returning every layer's activation keyed by id.  With
+    ``around``, each non-input activation is ``around(layer, inputs, run)``,
+    where ``run()`` computes it from the layer's ``KINDS`` entry."""
+    acts = {layer.id: x for layer in g.layers if layer.kind == "input"}
     for layer in g.layers:
         if layer.kind == "input":
-            acts[layer.id] = x
             continue
-        a = _resolve(acts, g, layer.inputs[0])
-        if layer.kind == "conv":
-            y = ops.conv3d_lowered(
-                a, layer.params, p.conv[layer.id].value, counter, layer.id
-            )
-            if calibrate:
-                s = float(y.data.std())
-                if s > 1e-8:
-                    par = p.conv[layer.id]
-                    par.value = (par.value / s).astype(np.float32)
-                    y = Tensor5D(y.data / np.float32(s))
-            acts[layer.id] = y
-        elif layer.kind == "pool":
-            acts[layer.id] = ops.pool3d(a, layer.params)
-        elif layer.kind == "bn":
-            st = p.bn[layer.id]
-            if calibrate:
-                d = a.data.astype(COMPUTE)
-                st.mean = d.mean(axis=(0, 2, 3, 4)).astype(np.float32)
-                # floor keeps 1/sqrt(var) from amplifying noise channels
-                st.var = np.maximum(d.var(axis=(0, 2, 3, 4)), 1e-2).astype(np.float32)
-            acts[layer.id] = ops.batchnorm_infer(a, st.params())
-        elif layer.kind == "relu":
-            acts[layer.id] = tensor.relu(a)
-        elif layer.kind == "shuffle":
-            acts[layer.id] = ops.channel_shuffle(a, layer.params)
-        elif layer.kind == "split":
-            acts[layer.id] = a  # slices materialized on demand
-        elif layer.kind == "concat":
-            acts[layer.id] = tensor.concat_channels(
-                [_resolve(acts, g, r) for r in layer.inputs]
-            )
-        elif layer.kind == "softmax":
-            acts[layer.id] = ops.softmax_channels(a)
-        else:
-            raise ValueError(f"unknown layer kind {layer.kind!r}")
+        xs = [_resolve(acts, g, r) for r in layer.inputs]
+        run = partial(KINDS[layer.kind][0], layer, p, xs, counter)
+        acts[layer.id] = run() if around is None else around(layer, xs, run)
     return acts
 
 
@@ -341,32 +368,9 @@ def backward(
     for layer in reversed(g.layers):
         if layer.kind == "input" or layer.id not in grads:
             continue
-        gout = grads.pop(layer.id)
-        a = _resolve(acts, g, layer.inputs[0])
-        if layer.kind == "conv":
-            gx, gw = conv3d_backward(a, layer.params, p.conv[layer.id].value, gout)
-            p.conv[layer.id].grad += gw
-            add_to(layer.inputs[0], gx)
-        elif layer.kind == "pool":
-            add_to(layer.inputs[0], pool3d_backward(a, layer.params, gout))
-        elif layer.kind == "bn":
-            st = p.bn[layer.id]
-            gx, ggamma, gbeta = batchnorm_backward(a, st.params(), gout)
-            st.gamma.grad += ggamma
-            st.beta.grad += gbeta
-            add_to(layer.inputs[0], gx)
-        elif layer.kind == "relu":
-            add_to(layer.inputs[0], relu_backward(a, gout))
-        elif layer.kind == "shuffle":
-            add_to(layer.inputs[0], channel_shuffle_backward(gout, layer.params, a.c))
-        elif layer.kind == "split":
-            add_to(layer.inputs[0], gout)
-        elif layer.kind == "concat":
-            start = 0
-            for ref in layer.inputs:
-                c = _resolve(acts, g, ref).c
-                add_to(ref, gout[:, start : start + c])
-                start += c
+        xs = [_resolve(acts, g, r) for r in layer.inputs]
+        for ref, gx in zip(layer.inputs, KINDS[layer.kind][1](layer, p, xs, grads.pop(layer.id))):
+            add_to(ref, gx)
     return loss
 
 

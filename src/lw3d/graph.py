@@ -445,6 +445,20 @@ def parse_shape_arg(text: str, form: str = "CxTxHxW") -> tuple[int, ...]:
     return dims
 
 
+def _arch(text: str) -> str:
+    arch = text.lower()
+    if arch not in ARCHS:
+        raise ValueError(f"unknown arch {text!r}; expected one of {ARCHS}")
+    return arch
+
+
+def _at_least_one(text: str) -> int:
+    v = int(text)
+    if v < 1:
+        raise ValueError(f"must be at least 1, got {v}")
+    return v
+
+
 def parse_network_config(path) -> NetworkConfig:
     """Read the declarative architecture description (INI key-value sections).
     A malformed file raises a one-line ValueError naming the file."""
@@ -476,12 +490,12 @@ def parse_network_config(path) -> NetworkConfig:
             if mod not in WIDTH_TABLE:
                 raise ValueError(f"{path}: unknown module {mod!r} in {section}")
             overrides[mod] = InceptionWidths(
-                *(value(section, k, int) for k in InceptionWidths._fields)
+                *(value(section, k, _at_least_one) for k in InceptionWidths._fields)
             )
     return NetworkConfig(
-        arch=value("network", "arch").lower(),
+        arch=value("network", "arch", _arch),
         input=dims,
-        classes=value("network", "classes", int, NetworkConfig.classes),
+        classes=value("network", "classes", _at_least_one, NetworkConfig.classes),
         width_mult=value("network", "width_mult", float, NetworkConfig.width_mult),
         width_overrides=overrides,
     )

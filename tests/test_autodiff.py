@@ -276,9 +276,14 @@ class TestBenchmarkHooks:
         for name in tracer_mod.MODULES:
             importlib.import_module("lw3d." + name)
         graphs = [toy_net(arch) for arch in ARCHS]
+        # calibration must run through autodiff.forward, where the tracer
+        # registers the graphs it checks
+        probed = toy_net()
+        probe = Tensor5D(np.random.default_rng(0).standard_normal(TOY_SHAPE).astype(np.float32))
         tracer = tracer_mod.Tracer()
         tracer.install()
         try:
+            autodiff.calibrate_init(probed, autodiff.init_params(probed, 0), probe)
             for g in graphs:
                 p = autodiff.init_params(g, 0)
                 acts = autodiff.forward(g, p, Tensor5D(np.ones(TOY_SHAPE, np.float32)))
@@ -287,7 +292,9 @@ class TestBenchmarkHooks:
             tracer.uninstall()
         checked, bad = tracer.mac_check()
         assert bad == []
-        assert checked == sum(layer.kind == "conv" for g in graphs for layer in g.layers)
+        assert checked == sum(
+            layer.kind == "conv" for g in [probed, *graphs] for layer in g.layers
+        )
 
     def test_infer_setup_iteration_and_oracle_pass(self, tmp_path, monkeypatch):
         """The benchmark's set-up (``load_clip`` on rgb and depth clips,
@@ -315,6 +322,32 @@ class TestBenchmarkHooks:
         monkeypatch.setattr(ops, "conv3d_lowered", spy)
         forward(g, init_params(g, 0), Tensor5D(np.ones(TOY_SHAPE, np.float32)))
         assert tags == [layer.id for layer in g.layers if layer.kind == "conv"]
+
+    # every op a KINDS entry reaches besides ops.conv3d_lowered, by module
+    KINDS_OPS = [
+        (ops, "pool3d"), (ops, "batchnorm_infer"), (tensor, "relu"),
+        (ops, "channel_shuffle"), (tensor, "concat_channels"), (ops, "softmax_channels"),
+        (autodiff, "conv3d_backward"), (autodiff, "pool3d_backward"),
+        (autodiff, "batchnorm_backward"), (autodiff, "relu_backward"),
+        (autodiff, "channel_shuffle_backward"),
+    ]
+
+    def test_layer_table_looks_every_op_up_when_called(self, monkeypatch):
+        """The tracer wraps these at their module attributes; a table entry
+        holding a function bound at import would run unwrapped."""
+        called = set()
+        for mod, name in self.KINDS_OPS:
+
+            def spy(*args, _real=getattr(mod, name), _name=name):
+                called.add(_name)
+                return _real(*args)
+
+            monkeypatch.setattr(mod, name, spy)
+        g = toy_net()
+        p = init_params(g, 0)
+        acts = forward(g, p, Tensor5D(np.ones(TOY_SHAPE, np.float32)))
+        backward(g, p, acts, np.array([1]))
+        assert called == {name for _, name in self.KINDS_OPS}
 
     def test_lowered_conv_builds_patches_through_ops(self, monkeypatch):
         real = ops._im2col
@@ -471,6 +504,31 @@ class TestWeightFile:
             load_weights(path, g)
         assert str(path) in str(e.value) and "conv1" in str(e.value)
 
+    @pytest.mark.parametrize(
+        "kind,field,value,message",
+        [
+            ("conv", "value", np.nan, "conv record holds a non-finite value"),
+            ("conv", "value", -np.inf, "conv record holds a non-finite value"),
+            ("bn", "var", np.nan, "bn record holds a non-finite value"),
+            ("bn", "mean", np.inf, "bn record holds a non-finite value"),
+            ("bn", "var", -0.5, "bn variance row holds a negative value"),
+        ],
+    )
+    def test_bad_value_rejected_naming_the_layer(self, tmp_path, kind, field, value, message):
+        """Weight files come from outside the program: a NaN variance would
+        otherwise score every clip nan,nan, and a negative one fails later
+        in batch norm without naming the file or the layer."""
+        g = toy_net()
+        p = init_params(g, 0)
+        layer = next(layer for layer in parameterized_layers(g) if layer.kind == kind)
+        target = p.conv[layer.id] if kind == "conv" else p.bn[layer.id]
+        getattr(target, field).flat[1] = value
+        path = tmp_path / "w.bin"
+        save_weights(path, g, p)
+        with pytest.raises(ValueError) as e:
+            load_weights(path, g)
+        assert str(e.value) == f"{path}: layer {layer.id!r}: {message}"
+
     def test_oversized_claim_rejected_before_allocating(self, tmp_path):
         g = toy_net()
         path = tmp_path / "w.bin"
@@ -562,6 +620,38 @@ class TestCalibration:
         forward(g, params, other)
         for lid, s in params.bn.items():
             assert np.array_equal(s.mean, snap[lid])
+
+
+class TestForwardHook:
+    def test_pass_through_hook_sees_each_layer_once_and_changes_nothing(self):
+        g = toy_net()
+        p = init_params(g, 0)
+        x = Tensor5D(np.random.default_rng(2).standard_normal(TOY_SHAPE).astype(np.float32))
+        seen = []
+
+        def around(layer, xs, run):
+            seen.append(layer.id)
+            return run()
+
+        plain = forward(g, p, x)
+        hooked = forward(g, p, x, around=around)
+        assert seen == [layer.id for layer in g.layers if layer.kind != "input"]
+        assert list(hooked) == list(plain)
+        for lid, y in plain.items():
+            assert hooked[lid].data.tobytes() == y.data.tobytes()
+
+    def test_calibration_is_one_hooked_forward(self, monkeypatch):
+        real = autodiff.forward
+        hooks = []
+
+        def spy(g, p, x, counter=None, around=None):
+            hooks.append(around)
+            return real(g, p, x, counter, around)
+
+        monkeypatch.setattr(autodiff, "forward", spy)
+        g = toy_net()
+        calibrate_init(g, init_params(g, 0), Tensor5D(np.ones(TOY_SHAPE, np.float32)))
+        assert len(hooks) == 1 and hooks[0] is not None
 
 
 class TestTraining:

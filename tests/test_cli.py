@@ -5,6 +5,7 @@ import pytest
 
 from lw3d import tensor
 from lw3d.analysis import module_cost
+from lw3d.autodiff import init_params, save_weights
 from lw3d.cli import main
 from lw3d.dataio import synth_clip, synth_dataset
 from lw3d.graph import ARCHS, WIDTH_TABLE, InceptionWidths, build_network, infer_shapes
@@ -221,6 +222,9 @@ MALFORMED_CORPUS = {
     # clip.lw3d fits TOY_NET, but TOY_NET has two classes
     "label-2.tsv": "clip.lw3d\t0\trgb\ts\nclip.lw3d\t2\trgb\ts\n",
     "small-input.ini": "[network]\narch = i3d\ninput = 3x4x4x4\n",
+    "bad-arch.ini": "[network]\narch = foo\ninput = 3x8x32x32\n",
+    "zero-width.ini": "[network]\narch = gsst\ninput = 3x8x32x32\n[widths.4b]\n"
+    "b1 = 0\nb2_reduce = 0\nb2_out = 0\nb3_reduce = 0\nb3_out = 0\nb4_proj = 0\n",
 }
 # a well-formed score file, for the fuse inputs that are not under test
 SCORES = "scores.csv"
@@ -267,6 +271,8 @@ CLIP = "clip.lw3d"
         ("--save-weights", ("train-toy", *TOY_NET, "--data", "m.tsv",
                             "--save-weights", "missing/w.lw3d")),
         ("--save-weights", ("train-toy", *TOY_NET, "--data", "m.tsv", "--save-weights", ".")),
+        ("bad-arch.ini", ("analyze", "--config")),
+        ("zero-width.ini", ("analyze", "--config")),
     ],
 )
 def test_malformed_file_is_one_line_data_error(capsys, tmp_path, monkeypatch, name, argv):
@@ -502,6 +508,27 @@ class TestTrainInferRoundTrip:
         )
         assert code == 2
         assert "conv1" in err
+
+    def test_infer_rejects_nan_bn_variance(self, capsys, tmp_path):
+        """Without the check, infer prints nan,nan and exits 0."""
+        data = tmp_path / "clip.lw3d"
+        tensor.save_tensor(data, synth_clip(0, 2, (3, 8, 32, 32), np.random.default_rng(0)))
+        g = build_network("gsst", Shape5(1, 3, 8, 32, 32), 2, 0.125)
+        p = init_params(g, 0)
+        p.bn["conv1.spatial.bn"].var[0] = np.nan
+        weights = tmp_path / "w.bin"
+        save_weights(weights, g, p)
+        code, out, err = run(
+            capsys, "infer", "--arch", "gsst", "--input", "3x8x32x32",
+            "--classes", "2", "--width-mult", "0.125",
+            "--weights", str(weights), "--tensor", str(data),
+        )
+        assert code == 2
+        assert out == ""
+        assert err == (
+            f"lw3d: error: {weights}: layer 'conv1.spatial.bn': "
+            "bn record holds a non-finite value\n"
+        )
 
     def test_infer_rejects_short_tensor_file(self, capsys, tmp_path):
         data = tmp_path / "short.lw3d"

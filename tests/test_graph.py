@@ -285,9 +285,16 @@ class TestConfig:
             ("[network]\narch = i3d\narch = ist\n", "line 3.*already exists"),
             ("[network]\narch = i3d\ninput = 3x8x32x32\n[widths.4b]\nb1 = 1\n",
              r"\[widths.4b\] has no 'b2_reduce' field"),
+            ("[network]\narch = foo\ninput = 3x8x32x32\n",
+             r"\[network\] arch: unknown arch 'foo'; expected one of \('i3d', "),
+            ("[network]\narch = i3d\ninput = 3x8x32x32\n[widths.4b]\nb1 = 0\nb2_reduce = 1\n"
+             "b2_out = 1\nb3_reduce = 1\nb3_out = 1\nb4_proj = 1\n",
+             r"\[widths.4b\] b1: must be at least 1, got 0"),
+            ("[network]\narch = i3d\ninput = 3x8x32x32\nclasses = 0\n",
+             r"\[network\] classes: must be at least 1, got 0"),
         ],
         ids=["no-header", "no-arch", "no-input", "bad-classes", "bad-shape",
-             "duplicate-key", "short-widths"],
+             "duplicate-key", "short-widths", "unknown-arch", "zero-width", "zero-classes"],
     )
     def test_config_errors_are_one_line_naming_the_file(self, tmp_path, text, message):
         path = tmp_path / "net.ini"
