@@ -16,7 +16,7 @@ import numpy as np
 
 from . import ops, tensor
 from .graph import LayerSpec, ModuleGraph, parameterized_layers
-from .ops import COMPUTE, BatchNormParams, Conv3DSpec, MacCounter, PoolSpec
+from .ops import BN_EPS, COMPUTE, Conv3DSpec, MacCounter, PoolSpec
 from .tensor import Shape5, Tensor5D
 
 
@@ -92,13 +92,14 @@ def relu_backward(x: Tensor5D, gout: np.ndarray) -> np.ndarray:
 
 
 def batchnorm_backward(
-    x: Tensor5D, p: BatchNormParams, gout: np.ndarray
+    x: Tensor5D, gamma, mean, var, gout: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gradients with frozen mean/variance: input, gamma, beta."""
+    gamma, mean, var = (np.asarray(v, dtype=COMPUTE) for v in (gamma, mean, var))
     g = np.asarray(gout, dtype=COMPUTE).reshape(x.data.shape)
-    inv = 1.0 / np.sqrt(p.var + p.eps)
-    xhat = (x.data - p.mean.reshape(1, -1, 1, 1, 1)) * inv.reshape(1, -1, 1, 1, 1)
-    gx = g * (p.gamma * inv).reshape(1, -1, 1, 1, 1)
+    inv = 1.0 / np.sqrt(var + BN_EPS)
+    xhat = (x.data - mean.reshape(1, -1, 1, 1, 1)) * inv.reshape(1, -1, 1, 1, 1)
+    gx = g * (gamma * inv).reshape(1, -1, 1, 1, 1)
     ggamma = (g * xhat).sum(axis=(0, 2, 3, 4))
     gbeta = g.sum(axis=(0, 2, 3, 4))
     return gx, ggamma, gbeta
@@ -159,9 +160,6 @@ class BnState:
     beta: Parameter
     mean: np.ndarray
     var: np.ndarray
-
-    def params(self) -> BatchNormParams:
-        return BatchNormParams(self.gamma.value, self.beta.value, self.mean, self.var)
 
 
 @dataclass
@@ -253,9 +251,14 @@ def _conv_backward(layer: LayerSpec, p: NetworkParams, xs, gout) -> list[np.ndar
     return [gx]
 
 
+def _bn_forward(layer: LayerSpec, p: NetworkParams, xs, counter) -> Tensor5D:
+    st = p.bn[layer.id]
+    return ops.batchnorm_infer(xs[0], st.gamma.value, st.beta.value, st.mean, st.var)
+
+
 def _bn_backward(layer: LayerSpec, p: NetworkParams, xs, gout) -> list[np.ndarray]:
     st = p.bn[layer.id]
-    gx, ggamma, gbeta = batchnorm_backward(xs[0], st.params(), gout)
+    gx, ggamma, gbeta = batchnorm_backward(xs[0], st.gamma.value, st.mean, st.var, gout)
     st.gamma.grad += ggamma
     st.beta.grad += gbeta
     return [gx]
@@ -274,7 +277,7 @@ KINDS = {
         lambda l, p, xs, c: ops.pool3d(xs[0], l.params),
         lambda l, p, xs, g: [pool3d_backward(xs[0], l.params, g)],
     ),
-    "bn": (lambda l, p, xs, c: ops.batchnorm_infer(xs[0], p.bn[l.id].params()), _bn_backward),
+    "bn": (_bn_forward, _bn_backward),
     "relu": (lambda l, p, xs, c: tensor.relu(xs[0]), lambda l, p, xs, g: [relu_backward(xs[0], g)]),
     "shuffle": (
         lambda l, p, xs, c: ops.channel_shuffle(xs[0], l.params),

@@ -198,20 +198,32 @@ def _read_scores_csv(path) -> np.ndarray:
     return np.asarray(scores, dtype=np.float64)
 
 
-def _read_labels_csv(path) -> np.ndarray:
-    return np.asarray(
-        [
-            _csv_cell(path, line, row[0], int, "label {!r} is not an integer")
-            for line, row in _csv_rows(path)
-        ],
-        dtype=np.int64,
-    )
+def _read_labels_csv(path, classes: int) -> np.ndarray:
+    """One integer label per row, each naming one of ``classes`` score columns."""
+    labels = []
+    for line, row in _csv_rows(path):
+        y = _csv_cell(path, line, row[0], int, "label {!r} is not an integer")
+        if not 0 <= y < classes:
+            raise ValueError(f"{path}: line {line}: label {y} is not one of the {classes} classes")
+        labels.append(y)
+    return np.asarray(labels, dtype=np.int64)
 
 
 def cmd_fuse(args) -> int:
+    if args.strategy == fusion.MS2:
+        missing = [f for f, v in (("--acc-a", args.acc_a), ("--acc-b", args.acc_b)) if v is None]
+        if missing:
+            raise ValueError(f"--strategy ms2 requires {' and '.join(missing)}")
     a = _read_scores_csv(args.scores_a)
     b = _read_scores_csv(args.scores_b)
-    labels = _read_labels_csv(args.labels) if args.labels else None
+    if a.shape != b.shape:
+        raise ValueError(
+            f"score shapes differ: {args.scores_a} is {len(a)}x{a.shape[1]}, "
+            f"{args.scores_b} is {len(b)}x{b.shape[1]}"
+        )
+    labels = _read_labels_csv(args.labels, a.shape[1]) if args.labels else None
+    if labels is not None and len(labels) != len(a):
+        raise ValueError(f"{args.labels}: {len(labels)} labels for {len(a)} score rows")
     merged = fusion.merge(a, b, args.strategy, args.acc_a, args.acc_b)
     if labels is not None:
         acc = fusion.evaluate_accuracy(merged, labels)

@@ -12,7 +12,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import autodiff, ops, tensor
-from .ops import BatchNormParams, Conv3DSpec, PoolSpec
+from .ops import Conv3DSpec, PoolSpec
 from .tensor import Tensor5D
 
 EPS = 1e-3
@@ -42,10 +42,6 @@ def relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
     return float(np.linalg.norm(a - n) / denom)
 
 
-def _t(x: np.ndarray) -> Tensor5D:
-    return Tensor5D(x)
-
-
 def _worst(rng, forward, backward, *points) -> float:
     """Worst relative error between the gradients ``backward(*points, proj)``
     returns, a tuple with one per point, and the central differences of the
@@ -67,8 +63,8 @@ def _check_conv(rng, spec: Conv3DSpec) -> float:
     w = rng.standard_normal(spec.weight_shape)
     return _worst(
         rng,
-        lambda x, w: ops.conv3d_direct(_t(x), spec, w).data,
-        lambda x, w, proj: autodiff.conv3d_backward(_t(x), spec, w.astype(np.float32), proj),
+        lambda x, w: ops.conv3d_direct(Tensor5D(x), spec, w).data,
+        lambda x, w, proj: autodiff.conv3d_backward(Tensor5D(x), spec, w.astype(np.float32), proj),
         x,
         w,
     )
@@ -85,8 +81,8 @@ def _check_pool(rng, spec: PoolSpec) -> float:
         x = rng.standard_normal(shape)
     return _worst(
         rng,
-        lambda x: ops.pool3d(_t(x), spec).data,
-        lambda x, proj: (autodiff.pool3d_backward(_t(x), spec, proj),),
+        lambda x: ops.pool3d(Tensor5D(x), spec).data,
+        lambda x, proj: (autodiff.pool3d_backward(Tensor5D(x), spec, proj),),
         x,
     )
 
@@ -96,8 +92,8 @@ def _check_relu(rng) -> float:
     x[np.abs(x) < 0.05] += 0.1  # stay away from the kink
     return _worst(
         rng,
-        lambda x: tensor.relu(_t(x)).data,
-        lambda x, proj: (autodiff.relu_backward(_t(x), proj),),
+        lambda x: tensor.relu(Tensor5D(x)).data,
+        lambda x, proj: (autodiff.relu_backward(Tensor5D(x), proj),),
         x,
     )
 
@@ -109,14 +105,10 @@ def _check_batchnorm(rng) -> float:
     beta = rng.standard_normal(c)
     mean = rng.standard_normal(c) * 0.1
     var = np.abs(rng.standard_normal(c)) + 0.5
-
-    def bn(g, b):
-        return BatchNormParams(g, b, mean, var)
-
     return _worst(
         rng,
-        lambda x, g, b: ops.batchnorm_infer(_t(x), bn(g, b)).data,
-        lambda x, g, b, proj: autodiff.batchnorm_backward(_t(x), bn(g, b), proj),
+        lambda x, g, b: ops.batchnorm_infer(Tensor5D(x), g, b, mean, var).data,
+        lambda x, g, b, proj: autodiff.batchnorm_backward(Tensor5D(x), g, mean, var, proj),
         x,
         gamma,
         beta,
@@ -128,7 +120,7 @@ def _check_shuffle(rng) -> float:
     x = rng.standard_normal((1, c, 2, 2, 2))
     return _worst(
         rng,
-        lambda x: ops.channel_shuffle(_t(x), groups).data,
+        lambda x: ops.channel_shuffle(Tensor5D(x), groups).data,
         lambda x, proj: (autodiff.channel_shuffle_backward(proj, groups, c),),
         x,
     )

@@ -459,6 +459,13 @@ def _at_least_one(text: str) -> int:
     return v
 
 
+def _positive_finite(text: str) -> float:
+    v = float(text)
+    if not (math.isfinite(v) and v > 0):
+        raise ValueError(f"must be positive and finite, got {v}")
+    return v
+
+
 def parse_network_config(path) -> NetworkConfig:
     """Read the declarative architecture description (INI key-value sections).
     A malformed file raises a one-line ValueError naming the file."""
@@ -496,6 +503,6 @@ def parse_network_config(path) -> NetworkConfig:
         arch=value("network", "arch", _arch),
         input=dims,
         classes=value("network", "classes", _at_least_one, NetworkConfig.classes),
-        width_mult=value("network", "width_mult", float, NetworkConfig.width_mult),
+        width_mult=value("network", "width_mult", _positive_finite, NetworkConfig.width_mult),
         width_overrides=overrides,
     )

@@ -24,6 +24,10 @@ from .tensor import Shape5, Tensor5D
 Triple = tuple[int, int, int]
 
 COMPUTE = np.float64
+# the one batch-norm epsilon; the bn kernels cast their vectors to COMPUTE
+# before adding it, since a float32 var + BN_EPS stays float32 under numpy's
+# weak scalars
+BN_EPS = 1e-5
 
 
 def _check_window(spec) -> None:
@@ -102,39 +106,6 @@ class PoolSpec:
     def macs(self, out: Shape5) -> int:
         """Kernel-volume operations per element of the output ``out``."""
         return out.size * math.prod(self.kernel)
-
-
-@dataclass
-class BatchNormParams:
-    """Inference-mode batch norm: y = gamma * (x - mean) / sqrt(var + eps) + beta."""
-
-    gamma: np.ndarray
-    beta: np.ndarray
-    mean: np.ndarray
-    var: np.ndarray
-    eps: float = 1e-5
-
-    def __post_init__(self):
-        # COMPUTE vectors keep var + eps out of float32 under numpy's weak scalars
-        for name in ("gamma", "beta", "mean", "var"):
-            setattr(self, name, np.asarray(getattr(self, name), dtype=COMPUTE).ravel())
-        c = len(self.gamma)
-        if not (len(self.beta) == len(self.mean) == len(self.var) == c):
-            raise ValueError("batch-norm vectors must share one length")
-        if np.any(self.var < 0):
-            raise ValueError("variance must be nonnegative")
-        if self.eps <= 0:
-            raise ValueError("eps must be positive")
-
-    @classmethod
-    def identity(cls, channels: int, eps: float = 1e-5) -> "BatchNormParams":
-        return cls(
-            gamma=np.ones(channels),
-            beta=np.zeros(channels),
-            mean=np.zeros(channels),
-            var=np.ones(channels),
-            eps=eps,
-        )
 
 
 @dataclass
@@ -291,11 +262,13 @@ def pool3d(x: Tensor5D, spec: PoolSpec) -> Tensor5D:
     return Tensor5D(out)
 
 
-def batchnorm_infer(x: Tensor5D, p: BatchNormParams) -> Tensor5D:
-    if len(p.gamma) != x.c:
-        raise ValueError(f"batch-norm has {len(p.gamma)} channels, input has {x.c}")
-    scale = (p.gamma / np.sqrt(p.var + p.eps)).reshape(1, -1, 1, 1, 1)
-    shift = (p.beta - p.mean * p.gamma / np.sqrt(p.var + p.eps)).reshape(1, -1, 1, 1, 1)
+def batchnorm_infer(x: Tensor5D, gamma, beta, mean, var) -> Tensor5D:
+    """Frozen batch norm: y = gamma * (x - mean) / sqrt(var + BN_EPS) + beta."""
+    gamma, beta, mean, var = (np.asarray(v, dtype=COMPUTE) for v in (gamma, beta, mean, var))
+    if len(gamma) != x.c:
+        raise ValueError(f"batch-norm has {len(gamma)} channels, input has {x.c}")
+    scale = (gamma / np.sqrt(var + BN_EPS)).reshape(1, -1, 1, 1, 1)
+    shift = (beta - mean * gamma / np.sqrt(var + BN_EPS)).reshape(1, -1, 1, 1, 1)
     return Tensor5D(x.data * scale + shift)
 
 

@@ -91,9 +91,10 @@ def first_max_pool_backward(x: np.ndarray, spec: PoolSpec, gout: np.ndarray) -> 
 DTYPE_X = Tensor5D(np.random.default_rng(1).standard_normal((2, 4, 3, 4, 4)))
 DTYPE_CONV = Conv3DSpec(4, 6, (3, 1, 3), (1, 1, 1), (1, 0, 1), groups=2)
 DTYPE_W = np.random.default_rng(0).standard_normal(DTYPE_CONV.weight_shape).astype(np.float32)
-DTYPE_BN = ops.BatchNormParams(
-    *(np.full(4, v, dtype=np.float32) for v in (1.5, 0.1, 0.2, 0.9))
-)
+DTYPE_BN = {
+    k: np.full(4, v, dtype=np.float32)
+    for k, v in (("gamma", 1.5), ("beta", 0.1), ("mean", 0.2), ("var", 0.9))
+}
 DTYPE_POOL = PoolSpec("max", (2, 3, 3), (1, 2, 2), (0, 1, 1))
 DTYPE_AVG_POOL = dataclasses.replace(DTYPE_POOL, kind="avg")
 
@@ -113,8 +114,10 @@ OPERATORS = {
         lambda x, g: (autodiff.pool3d_backward(x, DTYPE_AVG_POOL, g),),
     ),
     "batchnorm": (
-        lambda x: ops.batchnorm_infer(x, DTYPE_BN),
-        lambda x, g: autodiff.batchnorm_backward(x, DTYPE_BN, g),
+        lambda x: ops.batchnorm_infer(x, **DTYPE_BN),
+        lambda x, g: autodiff.batchnorm_backward(
+            x, DTYPE_BN["gamma"], DTYPE_BN["mean"], DTYPE_BN["var"], g
+        ),
     ),
     "relu": (tensor.relu, lambda x, g: (autodiff.relu_backward(x, g),)),
     "shuffle": (
@@ -164,6 +167,22 @@ class TestOperatorGradients:
             gout = np.random.default_rng(2).standard_normal(y.shape).astype(gout_dtype)
             for grad in backward(DTYPE_X, gout):
                 assert grad.dtype == ops.COMPUTE
+
+    def test_batchnorm_bytes_do_not_depend_on_vector_dtype(self):
+        """The bn kernels cast their vectors to ``ops.COMPUTE`` before adding
+        ``BN_EPS``, so float32 vectors give the bytes their float64 copies do."""
+        wide = {k: v.astype(np.float64) for k, v in DTYPE_BN.items()}
+        gout = np.random.default_rng(2).standard_normal(DTYPE_X.data.shape)
+        outs = [
+            (
+                ops.batchnorm_infer(DTYPE_X, **bn).data,
+                *autodiff.batchnorm_backward(DTYPE_X, bn["gamma"], bn["mean"], bn["var"], gout),
+            )
+            for bn in (DTYPE_BN, wide)
+        ]
+        for narrow_out, wide_out in zip(*outs):
+            assert narrow_out.dtype == wide_out.dtype
+            assert narrow_out.tobytes() == wide_out.tobytes()
 
     def test_check_op_rejects_zero_trials(self):
         with pytest.raises(ValueError, match="at least one trial"):

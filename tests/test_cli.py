@@ -1,4 +1,6 @@
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,7 +8,7 @@ import pytest
 from lw3d import tensor
 from lw3d.analysis import module_cost
 from lw3d.autodiff import init_params, save_weights
-from lw3d.cli import main
+from lw3d.cli import build_parser, main
 from lw3d.dataio import synth_clip, synth_dataset
 from lw3d.graph import ARCHS, WIDTH_TABLE, InceptionWidths, build_network, infer_shapes
 from lw3d.tensor import Shape5, Tensor5D
@@ -16,6 +18,23 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def readme_commands() -> list[str]:
+    """Each ``lw3d ...`` command of README's "CLI examples" block, with its
+    backslash continuations joined."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## CLI examples", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [line for line in lines if line.startswith("lw3d ")]
+
+
+def test_readme_examples_parse():
+    """A flag renamed or removed in the CLI fails here, not in the docs."""
+    commands = readme_commands()
+    assert len(commands) == 8
+    for command in commands:
+        build_parser().parse_args(shlex.split(command)[1:])
 
 
 class TestExitCodes:
@@ -225,6 +244,7 @@ MALFORMED_CORPUS = {
     "bad-arch.ini": "[network]\narch = foo\ninput = 3x8x32x32\n",
     "zero-width.ini": "[network]\narch = gsst\ninput = 3x8x32x32\n[widths.4b]\n"
     "b1 = 0\nb2_reduce = 0\nb2_out = 0\nb3_reduce = 0\nb3_out = 0\nb4_proj = 0\n",
+    "zero-width-mult.ini": "[network]\narch = gsst\ninput = 3x8x32x32\nwidth_mult = 0\n",
 }
 # a well-formed score file, for the fuse inputs that are not under test
 SCORES = "scores.csv"
@@ -273,6 +293,7 @@ CLIP = "clip.lw3d"
         ("--save-weights", ("train-toy", *TOY_NET, "--data", "m.tsv", "--save-weights", ".")),
         ("bad-arch.ini", ("analyze", "--config")),
         ("zero-width.ini", ("analyze", "--config")),
+        ("zero-width-mult.ini", ("analyze", "--config")),
     ],
 )
 def test_malformed_file_is_one_line_data_error(capsys, tmp_path, monkeypatch, name, argv):
@@ -449,6 +470,48 @@ class TestFuse:
         )
         assert code == 2
         assert "gated" in err
+
+    @staticmethod
+    def fuse_fault(capsys, tmp_path, *argv, a="0.9,0.1\n0.2,0.8\n", b=None, labels=None):
+        """Run fuse on score files a.csv and b.csv (b defaults to a's text) and
+        an optional y.csv; the fault must be one stderr line, exit 2, no rows."""
+        (tmp_path / "a.csv").write_text(a)
+        (tmp_path / "b.csv").write_text(a if b is None else b)
+        argv = ("--scores-a", str(tmp_path / "a.csv"), "--scores-b", str(tmp_path / "b.csv"),
+                *argv)
+        if labels is not None:
+            (tmp_path / "y.csv").write_text(labels)
+            argv = (*argv, "--labels", str(tmp_path / "y.csv"))
+        code, out, err = run(capsys, "fuse", *argv)
+        assert code == 2
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1
+        return err.strip()
+
+    def test_ms2_without_accuracies_names_the_flags(self, capsys, tmp_path):
+        err = self.fuse_fault(capsys, tmp_path, "--strategy", "ms2", "--acc-a", "0.9")
+        assert err == "lw3d: error: --strategy ms2 requires --acc-b"
+        err = self.fuse_fault(capsys, tmp_path, "--strategy", "ms2")
+        assert err == "lw3d: error: --strategy ms2 requires --acc-a and --acc-b"
+
+    def test_score_shapes_differ_names_both_files(self, capsys, tmp_path):
+        err = self.fuse_fault(capsys, tmp_path, b="0.2,0.3,0.5\n")
+        assert err == (
+            f"lw3d: error: score shapes differ: {tmp_path / 'a.csv'} is 2x2, "
+            f"{tmp_path / 'b.csv'} is 1x3"
+        )
+
+    def test_label_count_names_the_labels_file(self, capsys, tmp_path):
+        err = self.fuse_fault(capsys, tmp_path, labels="0\n1\n1\n")
+        assert err == f"lw3d: error: {tmp_path / 'y.csv'}: 3 labels for 2 score rows"
+
+    @pytest.mark.parametrize("label", ["5", "-1", "2"])
+    def test_label_outside_the_classes_names_file_and_line(self, capsys, tmp_path, label):
+        err = self.fuse_fault(capsys, tmp_path, labels=f"0\n{label}\n")
+        assert err == (
+            f"lw3d: error: {tmp_path / 'y.csv'}: line 2: label {label} is not one of "
+            "the 2 classes"
+        )
 
 
 class TestGradcheck:

@@ -292,9 +292,12 @@ class TestConfig:
              r"\[widths.4b\] b1: must be at least 1, got 0"),
             ("[network]\narch = i3d\ninput = 3x8x32x32\nclasses = 0\n",
              r"\[network\] classes: must be at least 1, got 0"),
+            ("[network]\narch = i3d\ninput = 3x8x32x32\nwidth_mult = nan\n",
+             r"\[network\] width_mult: must be positive and finite, got nan"),
         ],
         ids=["no-header", "no-arch", "no-input", "bad-classes", "bad-shape",
-             "duplicate-key", "short-widths", "unknown-arch", "zero-width", "zero-classes"],
+             "duplicate-key", "short-widths", "unknown-arch", "zero-width", "zero-classes",
+             "nan-width-mult"],
     )
     def test_config_errors_are_one_line_naming_the_file(self, tmp_path, text, message):
         path = tmp_path / "net.ini"

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from lw3d import ops, tensor
-from lw3d.ops import BatchNormParams, Conv3DSpec, MacCounter, PoolSpec
+from lw3d.ops import BN_EPS, Conv3DSpec, MacCounter, PoolSpec
 from lw3d.tensor import Shape5, Tensor5D
 
 
@@ -270,25 +270,24 @@ class TestPooling:
 
 class TestBatchNorm:
     def test_hand_evaluated_formula(self):
-        p = BatchNormParams([2.0], [1.0], [3.0], [4.0], eps=1e-12)
         x = tensor.from_array(np.full((1, 1, 1, 1, 1), 5.0, dtype=np.float32))
-        y = ops.batchnorm_infer(x, p)
-        assert y.data.reshape(-1)[0] == pytest.approx(3.0, abs=1e-5)
+        y = ops.batchnorm_infer(x, [2.0], [1.0], [3.0], [4.0])
+        assert y.data.reshape(-1)[0] == np.float32(2.0 * (5.0 - 3.0) / np.sqrt(4.0 + BN_EPS) + 1.0)
 
     def test_zero_variance_guarded_by_eps(self):
-        p = BatchNormParams([1.0], [0.0], [0.0], [0.0], eps=1e-5)
         x = tensor.from_array(np.full((1, 1, 1, 1, 1), 1.0, dtype=np.float32))
-        assert np.isfinite(ops.batchnorm_infer(x, p).data).all()
+        assert np.isfinite(ops.batchnorm_infer(x, [1.0], [0.0], [0.0], [0.0]).data).all()
 
     def test_identity_params(self):
         rng = np.random.default_rng(4)
         x = Tensor5D(rng.standard_normal((1, 3, 2, 2, 2)).astype(np.float32))
-        y = ops.batchnorm_infer(x, BatchNormParams.identity(3, eps=1e-30))
-        np.testing.assert_allclose(y.data, x.data, atol=1e-5)
+        y = ops.batchnorm_infer(x, np.ones(3), np.zeros(3), np.zeros(3), np.ones(3))
+        assert np.array_equal(y.data, (x.data * (1.0 / np.sqrt(1.0 + BN_EPS))).astype(np.float32))
 
-    def test_rejects_negative_variance(self):
-        with pytest.raises(ValueError):
-            BatchNormParams([1.0], [0.0], [0.0], [-1.0])
+    def test_rejects_channel_mismatch(self):
+        x = Tensor5D(np.zeros((1, 3, 1, 1, 1), dtype=np.float32))
+        with pytest.raises(ValueError, match="batch-norm has 2 channels, input has 3"):
+            ops.batchnorm_infer(x, *(np.ones(2) for _ in range(4)))
 
 
 class TestSoftmax:
