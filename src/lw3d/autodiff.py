@@ -316,22 +316,33 @@ def calibrate_init(g: ModuleGraph, p: NetworkParams, x: Tensor5D) -> None:
             y = Tensor5D(y.data / np.float32(s))
         return y
 
-    forward(g, p, x, around=around)
+    forward(g, p, x, around=around, keep=())
 
 
 def forward(
-    g: ModuleGraph, p: NetworkParams, x: Tensor5D, counter: MacCounter | None = None, around=None
+    g: ModuleGraph, p: NetworkParams, x: Tensor5D, counter: MacCounter | None = None,
+    around=None, keep=None,
 ) -> dict[str, Tensor5D]:
-    """Run the graph, returning every layer's activation keyed by id.  With
+    """Run the graph, returning the activations keyed by layer id.  With
     ``around``, each non-input activation is ``around(layer, inputs, run)``,
-    where ``run()`` computes it from the layer's ``KINDS`` entry."""
-    acts = {layer.id: x for layer in g.layers if layer.kind == "input"}
+    where ``run()`` computes it from the layer's ``KINDS`` entry.
+
+    ``keep=None`` keeps every activation, which ``backward`` reads.  Any other
+    collection of ids keeps only those and the output: every other activation
+    is dropped as soon as the last layer reading it has run (``g.frees``)."""
+    acts = {}
     for layer in g.layers:
         if layer.kind == "input":
-            continue
-        xs = [_resolve(acts, g, r) for r in layer.inputs]
-        run = partial(KINDS[layer.kind][0], layer, p, xs, counter)
-        acts[layer.id] = run() if around is None else around(layer, xs, run)
+            acts[layer.id] = x
+        else:
+            xs = [_resolve(acts, g, r) for r in layer.inputs]
+            run = partial(KINDS[layer.kind][0], layer, p, xs, counter)
+            acts[layer.id] = run() if around is None else around(layer, xs, run)
+            del xs, run  # they would hold the inputs dropped below
+        if keep is not None:
+            for lid in g.frees[layer.id]:
+                if lid not in keep:
+                    del acts[lid]
     return acts
 
 

@@ -202,6 +202,8 @@ def _read_labels_csv(path, classes: int) -> np.ndarray:
     """One integer label per row, each naming one of ``classes`` score columns."""
     labels = []
     for line, row in _csv_rows(path):
+        if len(row) != 1:
+            raise ValueError(f"{path}: line {line}: expected one label, got {len(row)} cells")
         y = _csv_cell(path, line, row[0], int, "label {!r} is not an integer")
         if not 0 <= y < classes:
             raise ValueError(f"{path}: line {line}: label {y} is not one of the {classes} classes")
@@ -289,12 +291,14 @@ def cmd_infer(args) -> int:
     clips = _load_clips(records, g, match_t=False)  # windows are sampled to T
     rng = np.random.default_rng(args.seed)
     writer = csv.writer(sys.stdout, lineterminator="\n")
+    keep = {g.output_id}  # the scores read nothing else
     for clip in clips:
         scores = np.zeros(g.num_classes, dtype=np.float64)
         for _ in range(args.windows):
             seed = int(rng.integers(0, 2**31 - 1))
             win = dataio.sample_clip(clip, g.input_shape.t, seed)
-            scores += autodiff.predict_scores(g, autodiff.forward(g, params, win))[0]
+            acts = autodiff.forward(g, params, win, keep=keep)
+            scores += autodiff.predict_scores(g, acts)[0]
         writer.writerow([f"{v:.6f}" for v in scores / args.windows])
     return 0
 
@@ -308,7 +312,7 @@ def cmd_bench(args) -> int:
     times = []
     for _ in range(args.repeat):
         t0 = time.perf_counter()
-        autodiff.forward(g, params, x)
+        autodiff.forward(g, params, x, keep={g.output_id})  # the forward infer runs
         times.append(time.perf_counter() - t0)
     print(
         f"arch {g.arch} batch {args.batch}: median forward "

@@ -95,12 +95,15 @@ class ModuleGraph:
 
     def __post_init__(self):
         self._by_id = {}
+        # the last layer that reads each activation, or the layer itself
+        # when none does
+        last: dict[str, str] = {}
         for layer in self.layers:
             if layer.id in self._by_id:
                 raise ValueError(f"duplicate layer id {layer.id!r}")
             for ref in layer.inputs:
                 try:
-                    self.port(ref)
+                    last[self.port(ref)[0]] = layer.id
                 except ValueError as e:
                     raise ValueError(f"layer {layer.id!r}: {e}") from None
             if layer.kind != "input" and not layer.inputs:
@@ -108,6 +111,14 @@ class ModuleGraph:
             if layer.kind == "softmax" and layer is not self.layers[-1]:
                 raise ValueError(f"softmax layer {layer.id!r} is not the last layer")
             self._by_id[layer.id] = layer
+            last[layer.id] = layer.id
+        # layer id -> the activations no layer reads after it has run; the
+        # output is never freed.  A split's entry is its input's tensor under
+        # the split's own id, so its ports outlive the input's entry.
+        self.frees: dict[str, list[str]] = {layer.id: [] for layer in self.layers}
+        for lid, reader in last.items():
+            if lid != self.output_id:
+                self.frees[reader].append(lid)
 
     def layer(self, layer_id: str) -> LayerSpec:
         return self._by_id[layer_id]

@@ -269,7 +269,9 @@ def batchnorm_infer(x: Tensor5D, gamma, beta, mean, var) -> Tensor5D:
         raise ValueError(f"batch-norm has {len(gamma)} channels, input has {x.c}")
     scale = (gamma / np.sqrt(var + BN_EPS)).reshape(1, -1, 1, 1, 1)
     shift = (beta - mean * gamma / np.sqrt(var + BN_EPS)).reshape(1, -1, 1, 1, 1)
-    return Tensor5D(x.data * scale + shift)
+    y = x.data * scale
+    y += shift  # in place: one COMPUTE temporary, not two
+    return Tensor5D(y)
 
 
 def softmax_channels(x: Tensor5D) -> Tensor5D:

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lw3d import autodiff, gradcheck, ops, tensor
+from lw3d import analysis, autodiff, cli, dataio, gradcheck, ops, tensor
 from lw3d.autodiff import (
     NetworkParams,
     Parameter,
@@ -33,6 +33,7 @@ from lw3d.graph import (
     ModuleGraph,
     SplitSpec,
     build_network,
+    infer_shapes,
     parameterized_layers,
 )
 from lw3d.ops import Conv3DSpec, PoolSpec
@@ -314,6 +315,40 @@ class TestBenchmarkHooks:
         assert checked == sum(
             layer.kind == "conv" for g in [probed, *graphs] for layer in g.layers
         )
+
+    def test_tracer_covers_the_liveness_forward_of_infer(self, tmp_path, monkeypatch):
+        """``lw3d infer`` keeps only the output; the tracer must still count
+        every window's conv MACs and see one softmax output retained."""
+        tracer_mod = load_perfbench("tracer", monkeypatch)
+        for name in tracer_mod.MODULES:
+            importlib.import_module("lw3d." + name)
+        g = toy_net()
+        weights = tmp_path / "w.lw3d"
+        save_weights(weights, g, init_params(g, 0))
+        clip = dataio.synth_dataset(2, 1, (3, 12, 32, 32), 0, str(tmp_path / "data"))[0].path
+        windows = 3
+        tracer = tracer_mod.Tracer()
+        tracer.install()
+        try:
+            code = cli.main([
+                "infer", "--arch", "gsst", "--input", "3x8x32x32", "--width-mult", "0.125",
+                "--classes", "2", "--weights", str(weights), "--tensor", clip,
+                "--windows", str(windows),
+            ])
+        finally:
+            tracer.uninstall()
+        assert code == 0
+        checked, bad = tracer.mac_check()
+        assert bad == []
+        assert checked == sum(layer.kind == "conv" for layer in g.layers)
+        shapes = infer_shapes(g)
+        static = sum(
+            analysis._layer_flops(layer, shapes[layer.id])
+            for layer in g.layers if layer.kind == "conv"
+        )
+        counted = sum(tracer.counts[f"ops.conv_fwd.{c}.macs"] for c in tracer_mod.CONV_CLASSES)
+        assert counted == windows * static
+        assert tracer.retained_peak == shapes[g.output_id].size * 4  # float32 scores
 
     def test_infer_setup_iteration_and_oracle_pass(self, tmp_path, monkeypatch):
         """The benchmark's set-up (``load_clip`` on rgb and depth clips,
@@ -663,14 +698,101 @@ class TestForwardHook:
         real = autodiff.forward
         hooks = []
 
-        def spy(g, p, x, counter=None, around=None):
+        def spy(g, p, x, counter=None, around=None, keep=None):
             hooks.append(around)
-            return real(g, p, x, counter, around)
+            return real(g, p, x, counter, around, keep)
 
         monkeypatch.setattr(autodiff, "forward", spy)
         g = toy_net()
         calibrate_init(g, init_params(g, 0), Tensor5D(np.ones(TOY_SHAPE, np.float32)))
         assert len(hooks) == 1 and hooks[0] is not None
+
+
+def fan_out_graph():
+    """r1 fans out to a shuffle and to the concat; the split's ports are read
+    by two layers after its input's last reader has run."""
+    layers = [
+        LayerSpec("in", "input", Shape5(1, 2, 2, 4, 4)),
+        LayerSpec("c1", "conv", Conv3DSpec(2, 4, (1, 1, 1)), ["in"]),
+        LayerSpec("r1", "relu", None, ["c1"]),
+        LayerSpec("sh", "shuffle", 2, ["r1"]),
+        LayerSpec("sp", "split", SplitSpec((3, 1)), ["sh"]),
+        LayerSpec("a", "relu", None, ["sp:0"]),
+        LayerSpec("b", "relu", None, ["sp:1"]),
+        LayerSpec("cat", "concat", None, ["a", "b", "r1"]),
+        LayerSpec("out", "softmax", None, ["cat"]),
+    ]
+    return ModuleGraph(layers, "i3d", layers[0].params, num_classes=8)
+
+
+class TestLiveness:
+    """``forward(..., keep=...)`` drops each activation after its last reader."""
+
+    @pytest.mark.parametrize("arch", ARCHS)
+    def test_keep_output_returns_only_the_same_output(self, arch):
+        g = toy_net(arch)
+        p = init_params(g, 0)
+        x = Tensor5D(np.random.default_rng(3).standard_normal(TOY_SHAPE).astype(np.float32))
+        kept = forward(g, p, x, keep={g.output_id})
+        assert list(kept) == [g.output_id]
+        assert kept[g.output_id].data.tobytes() == forward(g, p, x)[g.output_id].data.tobytes()
+
+    @pytest.mark.parametrize("arch", ARCHS)
+    def test_hook_sees_each_layer_once(self, arch):
+        g = toy_net(arch)
+        seen = []
+
+        def around(layer, xs, run):
+            seen.append(layer.id)
+            return run()
+
+        forward(g, init_params(g, 0), Tensor5D(np.ones(TOY_SHAPE, np.float32)),
+                around=around, keep={g.output_id})
+        assert seen == [layer.id for layer in g.layers if layer.kind != "input"]
+
+    def test_fan_out_and_split_ports_free_each_entry_at_its_last_reader(self, monkeypatch):
+        g = fan_out_graph()
+        assert {lid: sorted(ids) for lid, ids in g.frees.items() if ids} == {
+            "c1": ["in"], "r1": ["c1"], "sp": ["sh"], "b": ["sp"], "cat": ["a", "b", "r1"],
+            "out": ["cat"],
+        }
+        p = init_params(g, 0)
+        x = Tensor5D(np.random.default_rng(4).standard_normal(g.input_shape).astype(np.float32))
+        full = forward(g, p, x)
+        real = autodiff._resolve
+        live = []
+
+        def spy(acts, g, ref):
+            live.append((ref, sorted(acts)))
+            return real(acts, g, ref)
+
+        monkeypatch.setattr(autodiff, "_resolve", spy)
+        kept = forward(g, p, x, keep={"out"})
+        assert live == [
+            ("in", ["in"]),
+            ("c1", ["c1"]),
+            ("r1", ["r1"]),
+            ("sh", ["r1", "sh"]),
+            ("sp:0", ["r1", "sp"]),
+            ("sp:1", ["a", "r1", "sp"]),
+            ("a", ["a", "b", "r1"]),
+            ("b", ["a", "b", "r1"]),
+            ("r1", ["a", "b", "r1"]),
+            ("cat", ["cat"]),
+        ]
+        assert list(kept) == ["out"]
+        assert kept["out"].data.tobytes() == full["out"].data.tobytes()
+
+    def test_keep_holds_the_listed_ids_and_an_unread_layer_is_dropped(self):
+        g = fan_out_graph()
+        dead = ModuleGraph(
+            [*g.layers[:-1], LayerSpec("dead", "relu", None, ["in"]), g.layers[-1]],
+            "i3d", g.input_shape, num_classes=8,
+        )
+        assert dead.frees["dead"] == ["in", "dead"]
+        x = Tensor5D(np.ones(g.input_shape, np.float32))
+        p = init_params(g, 0)
+        assert list(forward(dead, p, x, keep={"sp", "a"})) == ["sp", "a", "out"]
 
 
 class TestTraining:

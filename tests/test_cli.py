@@ -513,6 +513,10 @@ class TestFuse:
             "the 2 classes"
         )
 
+    def test_label_row_with_extra_cells_names_file_and_line(self, capsys, tmp_path):
+        err = self.fuse_fault(capsys, tmp_path, labels="0,7\n1,x\n")
+        assert err == f"lw3d: error: {tmp_path / 'y.csv'}: line 1: expected one label, got 2 cells"
+
 
 class TestGradcheck:
     def test_relu_passes(self, capsys):
