@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 from .graph import (
@@ -21,7 +21,6 @@ from .graph import (
     LayerSpec,
     ModuleGraph,
     build_inception_module,
-    infer_shapes,
 )
 from .ops import Conv3DSpec
 from .tensor import Shape5
@@ -87,14 +86,11 @@ class _LayerCost(NamedTuple):
     flops: int
 
 
-def _layer_costs(
-    g: ModuleGraph, include_bn_params: bool = False, input_shape: Shape5 | None = None
-) -> list[_LayerCost]:
+def _layer_costs(g: ModuleGraph, include_bn_params: bool = False) -> list[_LayerCost]:
     """The one cost walk: every non-input layer's parameters and FLOPs."""
-    shapes = infer_shapes(g, input_shape)
     return [
         _LayerCost(
-            layer, _layer_params(layer, include_bn_params), _layer_flops(layer, shapes[layer.id])
+            layer, _layer_params(layer, include_bn_params), _layer_flops(layer, g.shapes[layer.id])
         )
         for layer in g.layers
         if layer.kind != "input"
@@ -120,7 +116,10 @@ def count_params(g: ModuleGraph, include_bn_params: bool = False) -> CostReport:
 
 
 def count_flops(g: ModuleGraph, input_shape: Shape5 | None = None) -> CostReport:
-    return _to_report(g, _layer_costs(g, input_shape=input_shape))
+    if input_shape is not None:  # the same layers, fed another input
+        layers = [replace(l, params=input_shape) if l.kind == "input" else l for l in g.layers]
+        g = ModuleGraph(layers, g.arch, g.num_classes, g.notes)
+    return _to_report(g, _layer_costs(g))
 
 
 def analyze(g: ModuleGraph, include_bn_params: bool = False) -> CostReport:

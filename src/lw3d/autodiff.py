@@ -16,7 +16,7 @@ import numpy as np
 
 from . import ops, tensor
 from .graph import LayerSpec, ModuleGraph, parameterized_layers
-from .ops import BN_EPS, COMPUTE, Conv3DSpec, MacCounter, PoolSpec
+from .ops import BN_EPS, COMPUTE, Conv3DSpec, PoolSpec
 from .tensor import Shape5, Tensor5D
 
 
@@ -240,7 +240,7 @@ def _record_shape(layer: LayerSpec) -> tuple[int, ...]:
 
 
 def _resolve(acts: dict[str, Tensor5D], g: ModuleGraph, ref: str) -> Tensor5D:
-    base, channels = g.port(ref)
+    base, channels = g.ports[ref]
     x = acts[base]
     return x if channels == slice(None) else Tensor5D(x.data[:, channels])
 
@@ -251,7 +251,7 @@ def _conv_backward(layer: LayerSpec, p: NetworkParams, xs, gout) -> list[np.ndar
     return [gx]
 
 
-def _bn_forward(layer: LayerSpec, p: NetworkParams, xs, counter) -> Tensor5D:
+def _bn_forward(layer: LayerSpec, p: NetworkParams, xs) -> Tensor5D:
     st = p.bn[layer.id]
     return ops.batchnorm_infer(xs[0], st.gamma.value, st.beta.value, st.mean, st.var)
 
@@ -264,31 +264,31 @@ def _bn_backward(layer: LayerSpec, p: NetworkParams, xs, gout) -> list[np.ndarra
     return [gx]
 
 
-# kind -> (forward(layer, params, inputs, counter) -> activation, backward(layer,
-# params, inputs, gout) -> one gradient per input).  Each entry looks its op up
+# kind -> (forward(layer, params, inputs) -> activation, backward(layer, params,
+# inputs, gout) -> one gradient per input).  Each entry looks its op up
 # when called, so a function swapped in at its module attribute (a tracer, the
 # conv3d_direct oracle) runs.  softmax has no backward: the loss seeds its input.
 KINDS = {
     "conv": (
-        lambda l, p, xs, c: ops.conv3d_lowered(xs[0], l.params, p.conv[l.id].value, c, l.id),
+        lambda l, p, xs: ops.conv3d_lowered(xs[0], l.params, p.conv[l.id].value, tag=l.id),
         _conv_backward,
     ),
     "pool": (
-        lambda l, p, xs, c: ops.pool3d(xs[0], l.params),
+        lambda l, p, xs: ops.pool3d(xs[0], l.params),
         lambda l, p, xs, g: [pool3d_backward(xs[0], l.params, g)],
     ),
     "bn": (_bn_forward, _bn_backward),
-    "relu": (lambda l, p, xs, c: tensor.relu(xs[0]), lambda l, p, xs, g: [relu_backward(xs[0], g)]),
+    "relu": (lambda l, p, xs: tensor.relu(xs[0]), lambda l, p, xs, g: [relu_backward(xs[0], g)]),
     "shuffle": (
-        lambda l, p, xs, c: ops.channel_shuffle(xs[0], l.params),
+        lambda l, p, xs: ops.channel_shuffle(xs[0], l.params),
         lambda l, p, xs, g: [channel_shuffle_backward(g, l.params, xs[0].c)],
     ),
-    "split": (lambda l, p, xs, c: xs[0], lambda l, p, xs, g: [g]),  # slices made on demand
+    "split": (lambda l, p, xs: xs[0], lambda l, p, xs, g: [g]),  # slices made on demand
     "concat": (
-        lambda l, p, xs, c: tensor.concat_channels(xs),
+        lambda l, p, xs: tensor.concat_channels(xs),
         lambda l, p, xs, g: np.split(g, np.cumsum([x.c for x in xs[:-1]]), axis=1),
     ),
-    "softmax": (lambda l, p, xs, c: ops.softmax_channels(xs[0]), None),
+    "softmax": (lambda l, p, xs: ops.softmax_channels(xs[0]), None),
 }
 
 
@@ -320,8 +320,7 @@ def calibrate_init(g: ModuleGraph, p: NetworkParams, x: Tensor5D) -> None:
 
 
 def forward(
-    g: ModuleGraph, p: NetworkParams, x: Tensor5D, counter: MacCounter | None = None,
-    around=None, keep=None,
+    g: ModuleGraph, p: NetworkParams, x: Tensor5D, around=None, keep=None
 ) -> dict[str, Tensor5D]:
     """Run the graph, returning the activations keyed by layer id.  With
     ``around``, each non-input activation is ``around(layer, inputs, run)``,
@@ -336,7 +335,7 @@ def forward(
             acts[layer.id] = x
         else:
             xs = [_resolve(acts, g, r) for r in layer.inputs]
-            run = partial(KINDS[layer.kind][0], layer, p, xs, counter)
+            run = partial(KINDS[layer.kind][0], layer, p, xs)
             acts[layer.id] = run() if around is None else around(layer, xs, run)
             del xs, run  # they would hold the inputs dropped below
         if keep is not None:
@@ -373,7 +372,7 @@ def backward(
     grads: dict[str, np.ndarray] = {}
 
     def add_to(ref: str, val: np.ndarray):
-        base, channels = g.port(ref)
+        base, channels = g.ports[ref]
         if base not in grads:
             grads[base] = np.zeros(tuple(acts[base].shape), dtype=COMPUTE)
         grads[base][:, channels] += val

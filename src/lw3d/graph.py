@@ -89,29 +89,44 @@ class SplitAllocation:
 class ModuleGraph:
     layers: list[LayerSpec]
     arch: str
-    input_shape: Shape5
     num_classes: int | None = None
     notes: list[str] = field(default_factory=list)
 
     def __post_init__(self):
+        """The graph's one compile step: a single walk checks ids and
+        references and records what every read reference resolves to
+        (``ports``), every layer's output shape (``shapes``; a shape fault
+        raises ``ShapeError``) and when every activation is last read
+        (``frees``)."""
         self._by_id = {}
+        self.ports: dict[str, tuple[str, slice]] = {}
+        self.shapes: dict[str, Shape5] = {}
         # the last layer that reads each activation, or the layer itself
         # when none does
         last: dict[str, str] = {}
         for layer in self.layers:
             if layer.id in self._by_id:
                 raise ValueError(f"duplicate layer id {layer.id!r}")
+            ins = []  # the shape each reference reads
             for ref in layer.inputs:
                 try:
-                    last[self.port(ref)[0]] = layer.id
+                    base, channels = self.port(ref)
                 except ValueError as e:
                     raise ValueError(f"layer {layer.id!r}: {e}") from None
+                self.ports[ref] = base, channels
+                last[base] = layer.id
+                s = self.shapes[base]
+                ins.append(s._replace(c=len(range(s.c)[channels])))
             if layer.kind != "input" and not layer.inputs:
                 raise ValueError(f"layer {layer.id!r} has no predecessor")
             if layer.kind == "softmax" and layer is not self.layers[-1]:
                 raise ValueError(f"softmax layer {layer.id!r} is not the last layer")
             self._by_id[layer.id] = layer
             last[layer.id] = layer.id
+            try:
+                self.shapes[layer.id] = _output_shape(layer, ins)
+            except ValueError as e:
+                raise ShapeError(f"shape inference failed at {layer.id!r}: {e}") from e
         # layer id -> the activations no layer reads after it has run; the
         # output is never freed.  A split's entry is its input's tensor under
         # the split's own id, so its ports outlive the input's entry.
@@ -142,6 +157,10 @@ class ModuleGraph:
     @property
     def output_id(self) -> str:
         return self.layers[-1].id
+
+    @property
+    def input_shape(self) -> Shape5:
+        return self.shapes[self.layers[0].id]
 
 
 def allocate_groups(
@@ -319,7 +338,7 @@ def build_inception_module(
     b = _Builder(variant)
     b.add(LayerSpec("input", "input", input_shape))
     b.inception_module(name, widths, in_channels, "input", row=name)
-    return ModuleGraph(b.layers, variant, input_shape, notes=b.notes)
+    return ModuleGraph(b.layers, variant, notes=b.notes)
 
 
 def build_network(
@@ -361,8 +380,7 @@ def build_network(
             cur = b.add(LayerSpec(pid, "pool", pool, [cur], pid))
     # final average pool: canonical kernel 2x7x7, clamped to the actual
     # feature-map extent so small toy inputs stay valid
-    graph_so_far = ModuleGraph(list(b.layers), arch, input_shape, notes=b.notes)
-    feat = infer_shapes(graph_so_far)[cur]
+    feat = ModuleGraph(list(b.layers), arch, notes=b.notes).shapes[cur]
     avg_kernel = (min(2, feat.t), min(7, feat.h), min(7, feat.w))
     cur = b.add(
         LayerSpec("avgp", "pool", PoolSpec("avg", avg_kernel), [cur], "avgp")
@@ -374,61 +392,39 @@ def build_network(
         )
     )
     b.add(LayerSpec("softmax", "softmax", None, [cur], "classifier"))
-    return ModuleGraph(b.layers, arch, input_shape, num_classes, notes=b.notes)
+    return ModuleGraph(b.layers, arch, num_classes, notes=b.notes)
 
 
 class ShapeError(ValueError):
-    """A layer's input shape does not fit it; raised by ``infer_shapes``."""
+    """A layer's input shape does not fit it; raised when the graph is built."""
 
 
-def infer_shapes(g: ModuleGraph, input_shape: Shape5 | None = None) -> dict[str, Shape5]:
-    """Propagate shapes through the DAG; raises naming the first bad layer."""
-    shapes: dict[str, Shape5] = {}
+def _output_shape(layer: LayerSpec, ins: list[Shape5]) -> Shape5:
+    """One layer's output shape from its input shapes, by its kind's rule."""
+    if layer.kind == "input":
+        return Shape5(*layer.params)
+    x = ins[0]
+    if layer.kind in ("conv", "pool"):
+        return layer.params.output_shape(x)
+    if layer.kind == "bn" and x.c != layer.params:
+        raise ValueError(f"bn over {layer.params} channels fed {x.c} channels")
+    if layer.kind == "shuffle" and x.c % layer.params:
+        raise ValueError(f"{x.c} channels not divisible by shuffle groups {layer.params}")
+    if layer.kind == "split" and sum(layer.params.sizes) != x.c:
+        raise ValueError(f"split sizes {layer.params.sizes} do not sum to {x.c}")
+    if layer.kind in ("bn", "relu", "softmax", "shuffle", "split"):
+        return x
+    if layer.kind == "concat":
+        for s in ins[1:]:
+            if (s.n, s.t, s.h, s.w) != (x.n, x.t, x.h, x.w):
+                raise ValueError("concat inputs disagree on n/t/h/w")
+        return x._replace(c=sum(s.c for s in ins))
+    raise ValueError(f"unknown layer kind {layer.kind!r}")
 
-    def shape_of(ref: str) -> Shape5:
-        base, channels = g.port(ref)
-        s = shapes[base]
-        return s._replace(c=len(range(s.c)[channels]))
 
-    for layer in g.layers:
-        try:
-            if layer.kind == "input":
-                shapes[layer.id] = Shape5(*(input_shape or layer.params))
-                continue
-            ins = [shape_of(r) for r in layer.inputs]
-            x = ins[0]
-            if layer.kind in ("conv", "pool"):
-                shapes[layer.id] = layer.params.output_shape(x)
-            elif layer.kind == "bn":
-                if x.c != layer.params:
-                    raise ValueError(
-                        f"bn over {layer.params} channels fed {x.c} channels"
-                    )
-                shapes[layer.id] = x
-            elif layer.kind in ("relu", "softmax"):
-                shapes[layer.id] = x
-            elif layer.kind == "shuffle":
-                if x.c % layer.params:
-                    raise ValueError(
-                        f"{x.c} channels not divisible by shuffle groups {layer.params}"
-                    )
-                shapes[layer.id] = x
-            elif layer.kind == "split":
-                if sum(layer.params.sizes) != x.c:
-                    raise ValueError(
-                        f"split sizes {layer.params.sizes} do not sum to {x.c}"
-                    )
-                shapes[layer.id] = x
-            elif layer.kind == "concat":
-                for s in ins[1:]:
-                    if (s.n, s.t, s.h, s.w) != (x.n, x.t, x.h, x.w):
-                        raise ValueError("concat inputs disagree on n/t/h/w")
-                shapes[layer.id] = Shape5(x.n, sum(s.c for s in ins), x.t, x.h, x.w)
-            else:
-                raise ValueError(f"unknown layer kind {layer.kind!r}")
-        except ValueError as e:
-            raise ShapeError(f"shape inference failed at {layer.id!r}: {e}") from e
-    return shapes
+def infer_shapes(g: ModuleGraph) -> dict[str, Shape5]:
+    """Every layer's output shape, as inferred when ``g`` was built."""
+    return g.shapes
 
 
 def parameterized_layers(g: ModuleGraph) -> list[LayerSpec]:

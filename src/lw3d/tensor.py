@@ -109,20 +109,6 @@ def concat_channels(parts: Sequence[Tensor5D]) -> Tensor5D:
     return Tensor5D(np.concatenate([p.data for p in parts], axis=1))
 
 
-def split_channels(x: Tensor5D, sizes: Sequence[int]) -> list[Tensor5D]:
-    """Inverse of concat_channels; ``sizes`` must sum to x.c."""
-    if any(s <= 0 for s in sizes):
-        raise ValueError(f"split sizes must be positive, got {list(sizes)}")
-    if sum(sizes) != x.c:
-        raise ValueError(f"split sizes sum to {sum(sizes)}, expected {x.c}")
-    out = []
-    start = 0
-    for s in sizes:
-        out.append(Tensor5D(np.ascontiguousarray(x.data[:, start : start + s])))
-        start += s
-    return out
-
-
 def relu(x: Tensor5D) -> Tensor5D:
     return Tensor5D(np.maximum(x.data, np.float32(0.0)))
 

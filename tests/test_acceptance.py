@@ -24,10 +24,16 @@ from lw3d.analysis import (
     format_millions,
     module_cost,
 )
-from lw3d.autodiff import TrainConfig, channel_shuffle_backward, train_toy
+from lw3d.autodiff import (
+    NetworkParams,
+    TrainConfig,
+    channel_shuffle_backward,
+    forward,
+    train_toy,
+)
 from lw3d.dataio import synth_clip
 from lw3d.fusion import MS2, merge, tanh_weight
-from lw3d.graph import build_network
+from lw3d.graph import LayerSpec, ModuleGraph, SplitSpec, build_network
 from lw3d.ops import Conv3DSpec
 from lw3d.tensor import Shape5, Tensor5D
 
@@ -439,8 +445,17 @@ def test_6_gradient_suite():
         redone = ops.channel_shuffle(Tensor5D(gx.astype(np.float32)), groups)
         if not np.array_equal(redone.data, gout):
             bad.append(f"shuffle gradient not exact for groups={groups}")
+    # split and concat as a network runs them: concat reads the split's ports
     x = Tensor5D(rng.standard_normal((1, 10, 2, 2, 2)).astype(np.float32))
-    if tensor.concat_channels(tensor.split_channels(x, [3, 5, 2])) != x:
+    g = ModuleGraph(
+        [
+            LayerSpec("in", "input", x.shape),
+            LayerSpec("sp", "split", SplitSpec((3, 5, 2)), ["in"]),
+            LayerSpec("cat", "concat", None, ["sp:0", "sp:1", "sp:2"]),
+        ],
+        "sst",
+    )
+    if forward(g, NetworkParams(), x)["cat"] != x:
         bad.append("split/concat round trip not exact")
     elapsed = time.perf_counter() - t0
     if elapsed >= 120:

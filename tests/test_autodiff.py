@@ -266,7 +266,7 @@ def tiny_graph():
         LayerSpec("pool", "pool", PoolSpec("avg", (2, 3, 3), (1, 1, 1), (0, 0, 0)), ["head"]),
         LayerSpec("out", "softmax", None, ["pool"]),
     ]
-    return ModuleGraph(layers, "i3d", Shape5(2, 2, 4, 6, 6), num_classes=3)
+    return ModuleGraph(layers, "i3d", num_classes=3)
 
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -466,7 +466,7 @@ class TestEndToEndBackward:
 
     def test_requires_softmax_output(self):
         g = tiny_graph()
-        trimmed = ModuleGraph(g.layers[:-1], g.arch, g.input_shape, g.num_classes)
+        trimmed = ModuleGraph(g.layers[:-1], g.arch, g.num_classes)
         params = init_params(trimmed, 0)
         x = Tensor5D(np.zeros((2, 2, 4, 6, 6), dtype=np.float32))
         with pytest.raises(ValueError, match="softmax"):
@@ -698,9 +698,9 @@ class TestForwardHook:
         real = autodiff.forward
         hooks = []
 
-        def spy(g, p, x, counter=None, around=None, keep=None):
+        def spy(g, p, x, around=None, keep=None):
             hooks.append(around)
-            return real(g, p, x, counter, around, keep)
+            return real(g, p, x, around, keep)
 
         monkeypatch.setattr(autodiff, "forward", spy)
         g = toy_net()
@@ -722,7 +722,7 @@ def fan_out_graph():
         LayerSpec("cat", "concat", None, ["a", "b", "r1"]),
         LayerSpec("out", "softmax", None, ["cat"]),
     ]
-    return ModuleGraph(layers, "i3d", layers[0].params, num_classes=8)
+    return ModuleGraph(layers, "i3d", num_classes=8)
 
 
 class TestLiveness:
@@ -787,12 +787,48 @@ class TestLiveness:
         g = fan_out_graph()
         dead = ModuleGraph(
             [*g.layers[:-1], LayerSpec("dead", "relu", None, ["in"]), g.layers[-1]],
-            "i3d", g.input_shape, num_classes=8,
+            "i3d", num_classes=8,
         )
         assert dead.frees["dead"] == ["in", "dead"]
         x = Tensor5D(np.ones(g.input_shape, np.float32))
         p = init_params(g, 0)
         assert list(forward(dead, p, x, keep={"sp", "a"})) == ["sp", "a", "out"]
+
+
+class TestCompiledGraph:
+    """``ModuleGraph`` resolves every port and infers every shape once, when
+    it is built; execution and analysis read those tables."""
+
+    @pytest.mark.parametrize("arch", ARCHS)
+    def test_activations_have_the_compiled_shapes(self, arch):
+        g = toy_net(arch)
+        x = Tensor5D(np.ones(TOY_SHAPE._replace(n=2), np.float32))
+        acts = forward(g, init_params(g, 0), x)
+        assert {lid: y.shape for lid, y in acts.items()} == {
+            lid: s._replace(n=2) for lid, s in g.shapes.items()
+        }
+        split_ports = [ref for ref in g.ports if ":" in ref]
+        assert bool(split_ports) == (arch in ("sst", "gsst"))
+        for ref in split_ports:
+            base, k = ref.split(":")
+            width = g.layer(base).params.sizes[int(k)]
+            assert autodiff._resolve(acts, g, ref).shape == acts[base].shape._replace(c=width)
+
+    def test_no_reference_is_parsed_after_construction(self, monkeypatch):
+        g = toy_net()
+        parsed = []
+        real = ModuleGraph.port
+
+        def spy(self, ref):
+            parsed.append(ref)
+            return real(self, ref)
+
+        monkeypatch.setattr(ModuleGraph, "port", spy)
+        p = init_params(g, 0)
+        acts = forward(g, p, Tensor5D(np.ones(TOY_SHAPE, np.float32)))
+        backward(g, p, acts, np.array([1]))
+        analysis.analyze(g)
+        assert parsed == []
 
 
 class TestTraining:

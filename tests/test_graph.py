@@ -11,6 +11,7 @@ from lw3d.graph import (
     InceptionWidths,
     LayerSpec,
     ModuleGraph,
+    ShapeError,
     SplitSpec,
     allocate_groups,
     build_inception_module,
@@ -20,6 +21,7 @@ from lw3d.graph import (
     parse_shape_arg,
     shuffle_group_count,
 )
+from lw3d.ops import PoolSpec
 from lw3d.tensor import Shape5
 
 CANONICAL = Shape5(1, 3, 32, 224, 224)
@@ -163,7 +165,6 @@ class TestBuildNetwork:
                     LayerSpec("input", "relu", None, ["input"]),
                 ],
                 "i3d",
-                Shape5(1, 1, 1, 1, 1),
             )
 
     def test_forward_reference_rejected(self):
@@ -174,7 +175,6 @@ class TestBuildNetwork:
                     LayerSpec("a", "relu", None, ["b"]),
                 ],
                 "i3d",
-                Shape5(1, 1, 1, 1, 1),
             )
 
     def test_softmax_before_last_layer_rejected(self):
@@ -186,7 +186,6 @@ class TestBuildNetwork:
                     LayerSpec("out", "relu", None, ["probs"]),
                 ],
                 "i3d",
-                Shape5(1, 2, 1, 1, 1),
             )
 
     def test_port_maps_reference_to_channel_slice(self):
@@ -197,7 +196,6 @@ class TestBuildNetwork:
                 LayerSpec("cat", "concat", None, ["sp:2", "sp:0"]),
             ],
             "sst",
-            Shape5(1, 6, 1, 1, 1),
         )
         assert g.port("sp") == ("sp", slice(None))
         assert g.port("sp:0") == ("sp", slice(0, 1))
@@ -223,6 +221,29 @@ class TestBuildNetwork:
         # a 1-frame clip survives the stem but dies at the temporal pools
         with pytest.raises(ValueError, match="maxp4"):
             infer_shapes(build_network("i3d", Shape5(1, 3, 1, 224, 224)))
+
+    @pytest.mark.parametrize(
+        "layer,rule",
+        [
+            (LayerSpec("bad", "bn", 3, ["input"]), "bn over 3 channels fed 4 channels"),
+            (LayerSpec("bad", "shuffle", 3, ["input"]),
+             "4 channels not divisible by shuffle groups 3"),
+            (LayerSpec("bad", "split", SplitSpec((1, 2)), ["input"]),
+             r"split sizes \(1, 2\) do not sum to 4"),
+            (LayerSpec("bad", "concat", None, ["input", "pool"]),
+             "concat inputs disagree on n/t/h/w"),
+            (LayerSpec("bad", "dropout", None, ["input"]), "unknown layer kind 'dropout'"),
+        ],
+        ids=["bn-channels", "shuffle-groups", "split-sizes", "concat-sites", "unknown-kind"],
+    )
+    def test_shape_fault_raises_when_the_graph_is_built(self, layer, rule):
+        layers = [
+            LayerSpec("input", "input", Shape5(1, 4, 2, 4, 4)),
+            LayerSpec("pool", "pool", PoolSpec("max", (1, 2, 2), (1, 2, 2)), ["input"]),
+            layer,
+        ]
+        with pytest.raises(ShapeError, match=f"^shape inference failed at 'bad': {rule}$"):
+            ModuleGraph(layers, "i3d")
 
 
 class TestInceptionModule:
@@ -314,6 +335,14 @@ class TestConfig:
             parse_network_config(path)
 
 
+def shape_digest(g: ModuleGraph) -> str:
+    """Hash of every layer's (id, output shape) from ``infer_shapes``."""
+    h = hashlib.sha256()
+    for lid, shape in infer_shapes(g).items():
+        h.update(repr((lid, tuple(shape))).encode())
+    return h.hexdigest()[:16]
+
+
 def graph_digest(g: ModuleGraph) -> str:
     """Hash of every layer's (id, kind, params, inputs, row, stage) plus the
     builder's notes: two graphs share a digest only if they agree layer for
@@ -384,3 +413,51 @@ class TestGraphPins:
         overrides = {"4b": InceptionWidths(100, 50, 100, 10, 20, 30)}
         g = build_network(arch, Shape5(1, 3, 8, 32, 32), 4, 0.5, overrides)
         assert graph_digest(g) == self.OVERRIDE_PINS[arch]
+
+    # every layer's output shape in the same configurations; sst and gsst
+    # differ only in conv groups, which leave shapes alone
+    NETWORK_SHAPE_PINS = {
+        ("i3d", (3, 32, 224, 224), 1.0): "cb9bcd9a25cb547d",
+        ("ist", (3, 32, 224, 224), 1.0): "9450d1b673ba68e9",
+        ("sst", (3, 32, 224, 224), 1.0): "68925443be9fd6bb",
+        ("gsst", (3, 32, 224, 224), 1.0): "68925443be9fd6bb",
+        ("i3d", (3, 8, 32, 32), 0.125): "6b3fd06eb1a04624",
+        ("ist", (3, 8, 32, 32), 0.125): "a43046ff50544c1e",
+        ("sst", (3, 8, 32, 32), 0.125): "cb7bb982971383cb",
+        ("gsst", (3, 8, 32, 32), 0.125): "cb7bb982971383cb",
+        ("i3d", (3, 8, 32, 32), 0.3): "85b64ae824774139",
+        ("ist", (3, 8, 32, 32), 0.3): "727139bfb83adf24",
+        ("i3d", (3, 8, 32, 32), 0.34): "d09bd2c20cb978d4",
+        ("ist", (3, 8, 32, 32), 0.34): "a9d281c50abd8a24",
+        ("sst", (3, 8, 32, 32), 0.34): "cba634bcc19e191d",
+        ("gsst", (3, 8, 32, 32), 0.34): "cba634bcc19e191d",
+    }
+    MODULE_4B_SHAPE_PINS = {
+        "i3d": "bbc6ad0182e73def",
+        "ist": "beca271246dfe011",
+        "sst": "7f024738f9b4e20d",
+        "gsst": "7f024738f9b4e20d",
+    }
+    OVERRIDE_SHAPE_PINS = {
+        "i3d": "a05cbc9c598a2e88",
+        "ist": "27666ac65f6072c6",
+        "sst": "061614e07f98a11c",
+        "gsst": "061614e07f98a11c",
+    }
+
+    @pytest.mark.parametrize("arch,shape,mult", list(NETWORK_SHAPE_PINS))
+    def test_network_shapes(self, arch, shape, mult):
+        classes = 60 if mult == 1.0 else 4
+        g = build_network(arch, Shape5(1, *shape), classes, mult)
+        assert shape_digest(g) == self.NETWORK_SHAPE_PINS[arch, shape, mult]
+
+    @pytest.mark.parametrize("arch", ARCHS)
+    def test_module_4b_shapes(self, arch):
+        g = build_inception_module(WIDTH_TABLE["4b"], arch, 480)
+        assert shape_digest(g) == self.MODULE_4B_SHAPE_PINS[arch]
+
+    @pytest.mark.parametrize("arch", ARCHS)
+    def test_width_override_shapes(self, arch):
+        overrides = {"4b": InceptionWidths(100, 50, 100, 10, 20, 30)}
+        g = build_network(arch, Shape5(1, 3, 8, 32, 32), 4, 0.5, overrides)
+        assert shape_digest(g) == self.OVERRIDE_SHAPE_PINS[arch]

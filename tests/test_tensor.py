@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lw3d import tensor
+from lw3d import autodiff, tensor
+from lw3d.graph import LayerSpec, ModuleGraph, ShapeError, SplitSpec
 from lw3d.tensor import Shape5, Tensor5D
 
 
@@ -95,18 +96,29 @@ def tensor_and_partition(draw):
 @settings(max_examples=120, deadline=None)
 @given(tensor_and_partition())
 def test_split_concat_round_trip(case):
+    """input -> split(sizes) -> concat(every port), run as a network runs."""
     x, sizes = case
-    parts = tensor.split_channels(x, sizes)
-    assert [p.c for p in parts] == sizes
-    assert tensor.concat_channels(parts) == x
+    ports = [f"sp:{k}" for k in range(len(sizes))]
+    g = ModuleGraph(
+        [
+            LayerSpec("in", "input", x.shape),
+            LayerSpec("sp", "split", SplitSpec(tuple(sizes)), ["in"]),
+            LayerSpec("cat", "concat", None, ports),
+        ],
+        "sst",
+    )
+    acts = autodiff.forward(g, autodiff.NetworkParams(), x)
+    assert [autodiff._resolve(acts, g, ref).c for ref in ports] == sizes
+    assert acts["cat"] == x
 
 
 def test_split_rejects_bad_sizes():
-    x = tensor.zeros((1, 4, 1, 1, 1))
-    with pytest.raises(ValueError):
-        tensor.split_channels(x, [2, 3])
-    with pytest.raises(ValueError):
-        tensor.split_channels(x, [4, 0])
+    layers = [
+        LayerSpec("in", "input", Shape5(1, 4, 1, 1, 1)),
+        LayerSpec("sp", "split", SplitSpec((2, 3)), ["in"]),
+    ]
+    with pytest.raises(ShapeError, match="do not sum"):
+        ModuleGraph(layers, "sst")
 
 
 def test_concat_rejects_mismatched_sites():
