@@ -29,8 +29,11 @@ def conv3d_backward(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Input and weight gradients of the bias-free convolution.
 
-    Both are 2-D GEMMs against one clip's patch matrix at a time, so only
-    one clip's ``cols`` and ``gcols`` are alive at once."""
+    Both are 2-D GEMMs against one clip's patch matrix, one
+    ``ops._time_tiles`` tile at a time: ``gw`` accumulates each tile's
+    ``gmat @ cols.T`` and each tile's ``gcols`` is added into the input
+    t-range it came from, so only one tile's ``cols`` and ``gcols`` are
+    alive at once."""
     out_shape = spec.output_shape(x.shape)
     # cast once here: a float32 weight is cast again by every per-clip matmul,
     # which made the train-dense conv backwards 6% slower
@@ -40,19 +43,24 @@ def conv3d_backward(
     cg = spec.in_channels // spec.groups
     og = spec.out_channels // spec.groups
     out_dims = (out_shape.t, out_shape.h, out_shape.w)
+    kcols = cg * math.prod(spec.kernel)
+    # per output site, the workspace is a column of cols and of gcols and a
+    # gmat copy
+    tiles = ops._time_tiles(spec, out_dims, 2 * kcols + og)
     gxp = np.zeros(xp.shape, COMPUTE)
-    gw = np.zeros((spec.out_channels, cg * math.prod(spec.kernel)), COMPUTE)
+    gw = np.zeros((spec.out_channels, kcols), COMPUTE)
     for gi in range(spec.groups):
         cs, os_ = slice(gi * cg, (gi + 1) * cg), slice(gi * og, (gi + 1) * og)
         wmat = w[os_].reshape(og, -1)
         for i in range(x.n):
-            cols = ops._im2col(xp[i : i + 1, cs], spec.kernel, out_dims, spec.stride)[0]
-            gmat = g[i, os_].reshape(og, -1)
-            gw[os_] += gmat @ cols.T
-            gcols = (wmat.T @ gmat).reshape(1, cg, -1, *out_dims)
-            ops._col2im(
-                gxp[i : i + 1, cs], lambda k: gcols[:, :, k], spec.kernel, out_dims, spec.stride
-            )
+            for ts, xs, dims in tiles:
+                cols = ops._im2col(xp[i : i + 1, cs, xs], spec.kernel, dims, spec.stride)[0]
+                gmat = g[i, os_, ts].reshape(og, -1)
+                gw[os_] += gmat @ cols.T
+                gcols = (wmat.T @ gmat).reshape(1, cg, -1, *dims)
+                ops._col2im(
+                    gxp[i : i + 1, cs, xs], lambda k: gcols[:, :, k], spec.kernel, dims, spec.stride
+                )
     return _unpad(gxp, spec.padding), gw.reshape(w.shape)
 
 

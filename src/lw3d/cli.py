@@ -11,6 +11,7 @@ import argparse
 import csv
 import math
 import os
+import resource
 import statistics
 import sys
 import time
@@ -319,6 +320,8 @@ def cmd_bench(args) -> int:
         f"{statistics.median(times):.3f}s over {args.repeat} runs "
         "(wall clock, nondeterministic; no reference target)"
     )
+    # ru_maxrss is in KiB on Linux
+    print(f"peak RSS {resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024:.1f} MB")
     return 0
 
 

@@ -410,6 +410,8 @@ def _output_shape(layer: LayerSpec, ins: list[Shape5]) -> Shape5:
         raise ValueError(f"bn over {layer.params} channels fed {x.c} channels")
     if layer.kind == "shuffle" and x.c % layer.params:
         raise ValueError(f"{x.c} channels not divisible by shuffle groups {layer.params}")
+    if layer.kind == "split" and any(s < 1 for s in layer.params.sizes):
+        raise ValueError(f"split sizes {layer.params.sizes} must each be at least 1")
     if layer.kind == "split" and sum(layer.params.sizes) != x.c:
         raise ValueError(f"split sizes {layer.params.sizes} do not sum to {x.c}")
     if layer.kind in ("bn", "relu", "softmax", "shuffle", "split"):

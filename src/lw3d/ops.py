@@ -5,6 +5,12 @@ contracts: ``conv3d_direct`` accumulates shifted input slices per kernel
 offset, ``conv3d_lowered`` builds a patch matrix and multiplies.  Their
 outputs agree to well under 1e-4, so each serves as an oracle for the other.
 
+The lowering never holds a whole patch matrix.  ``_time_tiles`` cuts the
+output time axis into tiles whose float64 workspace fits ``TILE_BYTES``
+(16 MB); each tile lowers only the input t-range it reads, multiplies and
+stores its output slice.  The forward and ``autodiff.conv3d_backward``
+share that plan.
+
 ``COMPUTE`` is the one owner of the accumulation dtype: patch matrices, avg
 pooling, batch norm, softmax and every gradient in ``autodiff`` use it.  The
 ``Tensor5D`` constructor is the one float32 store, and numpy's promotion does
@@ -28,6 +34,9 @@ COMPUTE = np.float64
 # before adding it, since a float32 var + BN_EPS stays float32 under numpy's
 # weak scalars
 BN_EPS = 1e-5
+# the float64 workspace one conv lowering tile may hold; a tile takes at
+# least one output time step, however wide
+TILE_BYTES = 16 * 2**20
 
 
 def _check_window(spec) -> None:
@@ -199,6 +208,22 @@ def _col2im(gxp: np.ndarray, part, kernel: Triple, out_dims: Triple, stride: Tri
         _offset_view(gxp, tap, out_dims, stride)[...] += part(k)
 
 
+def _time_tiles(spec: Conv3DSpec, out_dims: Triple, per_site: int) -> list:
+    """The conv lowering's tile plan: ``(ts, xs, dims)`` per tile, where
+    ``ts`` slices the output t-axis, ``xs`` the padded input t-range those
+    steps read and ``dims`` is the tile's output extent.  A tile takes as
+    many steps as keep a workspace of ``per_site`` COMPUTE values per
+    output site within ``TILE_BYTES``, and at least one."""
+    ot, oh, ow = out_dims
+    kt, st = spec.kernel[0], spec.stride[0]
+    step = max(1, TILE_BYTES // (per_site * oh * ow * np.dtype(COMPUTE).itemsize))
+    tiles = []
+    for t0 in range(0, ot, step):
+        t1 = min(t0 + step, ot)
+        tiles.append((slice(t0, t1), slice(t0 * st, (t1 - 1) * st + kt), (t1 - t0, oh, ow)))
+    return tiles
+
+
 def conv3d_lowered(
     x: Tensor5D,
     spec: Conv3DSpec,
@@ -206,18 +231,24 @@ def conv3d_lowered(
     counter: MacCounter | None = None,
     tag: str | None = None,
 ) -> Tensor5D:
-    """Convolution by patch-matrix lowering and matrix multiply."""
+    """Convolution by patch-matrix lowering and matrix multiply, one
+    ``_time_tiles`` tile at a time."""
     out_shape = spec.output_shape(x.shape)
-    w = _check_weights(spec, weights)
+    # cast once: a float32 weight is cast again by every tile's matmul
+    w = _check_weights(spec, weights).astype(COMPUTE)
     xp = _pad_input(x.data, spec.padding)
     cg = spec.in_channels // spec.groups
     og = spec.out_channels // spec.groups
     out_dims = (out_shape.t, out_shape.h, out_shape.w)
+    # per output site, the workspace is a patch-matrix column and its product
+    tiles = _time_tiles(spec, out_dims, x.n * (cg * math.prod(spec.kernel) + og))
     out = np.empty(out_shape, dtype=np.float32)
     for g in range(spec.groups):
-        cols = _im2col(xp[:, g * cg : (g + 1) * cg], spec.kernel, out_dims, spec.stride)
-        wmat = w[g * og : (g + 1) * og].reshape(og, -1)
-        out[:, g * og : (g + 1) * og] = (wmat @ cols).reshape(x.n, og, *out_dims)
+        cs, os_ = slice(g * cg, (g + 1) * cg), slice(g * og, (g + 1) * og)
+        wmat = w[os_].reshape(og, -1)
+        for ts, xs, dims in tiles:
+            cols = _im2col(xp[:, cs, xs], spec.kernel, dims, spec.stride)
+            out[:, os_, ts] = (wmat @ cols).reshape(x.n, og, *dims)
     if counter is not None:
         counter.add(spec.macs(out_shape), tag)
     return Tensor5D(out)

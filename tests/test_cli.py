@@ -1,4 +1,5 @@
 import json
+import re
 import shlex
 from pathlib import Path
 
@@ -719,3 +720,4 @@ class TestBench:
         assert code == 0
         assert "median forward" in out
         assert "nondeterministic" in out
+        assert re.search(r"^peak RSS \d+\.\d MB$", out, re.M)

@@ -230,11 +230,16 @@ class TestBuildNetwork:
              "4 channels not divisible by shuffle groups 3"),
             (LayerSpec("bad", "split", SplitSpec((1, 2)), ["input"]),
              r"split sizes \(1, 2\) do not sum to 4"),
+            (LayerSpec("bad", "split", SplitSpec((4, 0)), ["input"]),
+             r"split sizes \(4, 0\) must each be at least 1"),
             (LayerSpec("bad", "concat", None, ["input", "pool"]),
              "concat inputs disagree on n/t/h/w"),
             (LayerSpec("bad", "dropout", None, ["input"]), "unknown layer kind 'dropout'"),
         ],
-        ids=["bn-channels", "shuffle-groups", "split-sizes", "concat-sites", "unknown-kind"],
+        ids=[
+            "bn-channels", "shuffle-groups", "split-sizes", "split-zero-size", "concat-sites",
+            "unknown-kind",
+        ],
     )
     def test_shape_fault_raises_when_the_graph_is_built(self, layer, rule):
         layers = [

@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from lw3d import ops, tensor
+from lw3d import autodiff, ops, tensor
 from lw3d.ops import BN_EPS, Conv3DSpec, MacCounter, PoolSpec
 from lw3d.tensor import Shape5, Tensor5D
 
@@ -187,6 +189,105 @@ class TestConvImplementations:
             impl(x, spec, w, counter, "layer")
             assert counter.macs == expected
             assert counter.per_layer == {"layer": expected}
+
+
+class TestTiledLowering:
+    """The lowering works one tile of output time steps at a time, as many
+    as fit ``ops.TILE_BYTES``; the tile size must not change the result."""
+
+    @staticmethod
+    def run_budgets(monkeypatch, run, out):
+        """``run()`` under a 1-byte budget (one output t per tile), a budget
+        that leaves a short last tile, and one that fits the whole matrix:
+        each budget's result by name, once every call's tile plan is checked."""
+        real = ops._time_tiles
+        per_site, plans = [], []
+
+        def spy(spec, out_dims, values):
+            plan = real(spec, out_dims, values)
+            per_site.append(values)
+            plans.append([dims[0] for _, _, dims in plan])
+            return plan
+
+        monkeypatch.setattr(ops, "_time_tiles", spy)
+        monkeypatch.setattr(ops, "TILE_BYTES", 1)
+        results = {"one-byte": run()}
+        assert plans and all(p == [1] * out.t for p in plans)
+        # workspace bytes of one output time step, as the first call sized it
+        step = per_site[0] * out.h * out.w * np.dtype(ops.COMPUTE).itemsize
+        for name, steps, want in (
+            ("short-last", out.t - 1, [out.t - 1, 1]), ("whole", out.t, [out.t])
+        ):
+            monkeypatch.setattr(ops, "TILE_BYTES", steps * step)
+            plans.clear()
+            results[name] = run()
+            assert plans and all(p == want for p in plans)
+        return results
+
+    @pytest.mark.parametrize("kernel", [(1, 1, 1), (1, 3, 3), (3, 3, 3), (7, 1, 1)])
+    @pytest.mark.parametrize("stride_t", [1, 2])
+    @pytest.mark.parametrize("pad", [0, 1])
+    @pytest.mark.parametrize("groups", [1, 2])
+    @pytest.mark.parametrize("batch", [1, 3])
+    def test_tile_size_does_not_change_the_result(
+        self, monkeypatch, kernel, stride_t, pad, groups, batch
+    ):
+        rng = np.random.default_rng(17)
+        spec = Conv3DSpec(2 * groups, 3 * groups, kernel, (stride_t, 1, 1), (pad,) * 3, groups)
+        x = Tensor5D(rng.standard_normal((batch, spec.in_channels, 11, 5, 6)).astype(np.float32))
+        w = rng.standard_normal(spec.weight_shape).astype(np.float32)
+        out = spec.output_shape(x.shape)
+        gout = rng.standard_normal(tuple(out))
+        fwd = self.run_budgets(monkeypatch, lambda: ops.conv3d_lowered(x, spec, w).data, out)
+        bwd = self.run_budgets(
+            monkeypatch, lambda: autodiff.conv3d_backward(x, spec, w, gout), out
+        )
+        # the forward's GEMMs reduce over the same columns in every tile
+        assert fwd["one-byte"].tobytes() == fwd["whole"].tobytes()
+        assert fwd["short-last"].tobytes() == fwd["whole"].tobytes()
+        # tiles split the weight gradient's reduction and reorder the input
+        # gradient's sums where tiles overlap
+        for name in ("one-byte", "short-last"):
+            for got, ref in zip(bwd[name], bwd["whole"]):
+                assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+        y = ops.conv3d_direct(x, spec, w).data
+        np.testing.assert_allclose(fwd["one-byte"], y, atol=1e-4)
+        # the adjoint identity ties both gradients to the direct oracle:
+        # <gout, conv(x, w)> = <gx, x> = <gw, w>
+        gx, gw = bwd["one-byte"]
+        ref = float((gout * y).sum())
+        scale = float(np.abs(gout * y).sum())
+        assert abs(float((gx * x.data).sum()) - ref) <= 1e-4 * scale
+        assert abs(float((gw * w).sum()) - ref) <= 1e-4 * scale
+
+    def test_workspace_stays_within_the_budget(self, monkeypatch):
+        """Peak traced memory of one forward and one backward call stays
+        under their arrays plus two budgets, while the whole patch matrix is
+        over four budgets; building it whole again fails this."""
+        monkeypatch.setattr(ops, "TILE_BYTES", 2**20)
+        rng = np.random.default_rng(3)
+        spec = Conv3DSpec(8, 8, (3, 3, 3), padding=(1, 1, 1))
+        x = Tensor5D(rng.standard_normal((1, 8, 16, 16, 16)).astype(np.float32))
+        w = rng.standard_normal(spec.weight_shape).astype(np.float32)
+        out = spec.output_shape(x.shape)
+        patch_bytes = out.size // out.c * 8 * 27 * np.dtype(ops.COMPUTE).itemsize
+        assert patch_bytes >= 4 * ops.TILE_BYTES
+        padded = Shape5(1, 8, 18, 18, 18).size
+        gout = rng.standard_normal(tuple(out))
+
+        def peak(run):
+            tracemalloc.start()
+            try:
+                result = run()
+                return tracemalloc.get_traced_memory()[1], result
+            finally:
+                tracemalloc.stop()
+
+        used, y = peak(lambda: ops.conv3d_lowered(x, spec, w))
+        assert used < y.data.nbytes + padded * 4 + 2 * ops.TILE_BYTES
+        used, (gx, gw) = peak(lambda: autodiff.conv3d_backward(x, spec, w, gout))
+        grads = padded * gx.itemsize + gw.nbytes
+        assert used < gout.nbytes + padded * 4 + grads + 2 * ops.TILE_BYTES
 
 
 class TestFactorizationIdentity:
