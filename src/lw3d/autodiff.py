@@ -2,8 +2,10 @@
 
 Gradients are computed per operator (each backward function is usable and
 testable on its own) and chained over a ``ModuleGraph`` in reverse
-topological order.  Batch norm runs with frozen statistics: scale and
-shift learn, mean and variance stay at their initial values.
+topological order; each parameter tensor's gradient goes to the caller's
+``step`` as soon as it is final, so no whole-network gradient is held.
+Batch norm runs with frozen statistics: scale and shift learn, mean and
+variance stay at their initial values.
 """
 
 from __future__ import annotations
@@ -150,16 +152,15 @@ def site_xent(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray
 
 @dataclass
 class Parameter:
-    """Value, gradient and momentum buffers; always shape-identical."""
+    """A float32 value and its SGD momentum, which stays ``None`` until the
+    tensor's first ``sgd_step``, so inference holds no optimizer state."""
 
     value: np.ndarray
-    grad: np.ndarray
-    momentum: np.ndarray
+    momentum: np.ndarray | None = None
 
     @classmethod
     def of(cls, value: np.ndarray) -> "Parameter":
-        v = np.asarray(value, dtype=np.float32)
-        return cls(v, np.zeros(v.shape, COMPUTE), np.zeros(v.shape, COMPUTE))
+        return cls(np.asarray(value, dtype=np.float32))
 
 
 @dataclass
@@ -174,12 +175,6 @@ class BnState:
 class NetworkParams:
     conv: dict[str, Parameter] = field(default_factory=dict)
     bn: dict[str, BnState] = field(default_factory=dict)
-
-    def parameters(self) -> list[Parameter]:
-        out = list(self.conv.values())
-        for s in self.bn.values():
-            out.extend([s.gamma, s.beta])
-        return out
 
 
 def init_params(g: ModuleGraph, seed: int = 0) -> NetworkParams:
@@ -253,9 +248,9 @@ def _resolve(acts: dict[str, Tensor5D], g: ModuleGraph, ref: str) -> Tensor5D:
     return x if channels == slice(None) else Tensor5D(x.data[:, channels])
 
 
-def _conv_backward(layer: LayerSpec, p: NetworkParams, xs, gout) -> list[np.ndarray]:
+def _conv_backward(layer: LayerSpec, p: NetworkParams, xs, gout, step) -> list[np.ndarray]:
     gx, gw = conv3d_backward(xs[0], layer.params, p.conv[layer.id].value, gout)
-    p.conv[layer.id].grad += gw
+    step(p.conv[layer.id], gw)
     return [gx]
 
 
@@ -264,16 +259,17 @@ def _bn_forward(layer: LayerSpec, p: NetworkParams, xs) -> Tensor5D:
     return ops.batchnorm_infer(xs[0], st.gamma.value, st.beta.value, st.mean, st.var)
 
 
-def _bn_backward(layer: LayerSpec, p: NetworkParams, xs, gout) -> list[np.ndarray]:
+def _bn_backward(layer: LayerSpec, p: NetworkParams, xs, gout, step) -> list[np.ndarray]:
     st = p.bn[layer.id]
     gx, ggamma, gbeta = batchnorm_backward(xs[0], st.gamma.value, st.mean, st.var, gout)
-    st.gamma.grad += ggamma
-    st.beta.grad += gbeta
+    step(st.gamma, ggamma)
+    step(st.beta, gbeta)
     return [gx]
 
 
 # kind -> (forward(layer, params, inputs) -> activation, backward(layer, params,
-# inputs, gout) -> one gradient per input).  Each entry looks its op up
+# inputs, gout, step) -> one gradient per input; conv and bn also hand each of
+# their parameter gradients to ``step``).  Each entry looks its op up
 # when called, so a function swapped in at its module attribute (a tracer, the
 # conv3d_direct oracle) runs.  softmax has no backward: the loss seeds its input.
 KINDS = {
@@ -283,18 +279,18 @@ KINDS = {
     ),
     "pool": (
         lambda l, p, xs: ops.pool3d(xs[0], l.params),
-        lambda l, p, xs, g: [pool3d_backward(xs[0], l.params, g)],
+        lambda l, p, xs, g, _: [pool3d_backward(xs[0], l.params, g)],
     ),
     "bn": (_bn_forward, _bn_backward),
-    "relu": (lambda l, p, xs: tensor.relu(xs[0]), lambda l, p, xs, g: [relu_backward(xs[0], g)]),
+    "relu": (lambda l, p, xs: tensor.relu(xs[0]), lambda l, p, xs, g, _: [relu_backward(xs[0], g)]),
     "shuffle": (
         lambda l, p, xs: ops.channel_shuffle(xs[0], l.params),
-        lambda l, p, xs, g: [channel_shuffle_backward(g, l.params, xs[0].c)],
+        lambda l, p, xs, g, _: [channel_shuffle_backward(g, l.params, xs[0].c)],
     ),
-    "split": (lambda l, p, xs: xs[0], lambda l, p, xs, g: [g]),  # slices made on demand
+    "split": (lambda l, p, xs: xs[0], lambda l, p, xs, g, _: [g]),  # slices made on demand
     "concat": (
         lambda l, p, xs: tensor.concat_channels(xs),
-        lambda l, p, xs, g: np.split(g, np.cumsum([x.c for x in xs[:-1]]), axis=1),
+        lambda l, p, xs, g, _: np.split(g, np.cumsum([x.c for x in xs[:-1]]), axis=1),
     ),
     "softmax": (lambda l, p, xs: ops.softmax_channels(xs[0]), None),
 }
@@ -364,9 +360,12 @@ def backward(
     p: NetworkParams,
     acts: dict[str, Tensor5D],
     labels: np.ndarray,
+    step,
 ) -> float:
-    """Cross-entropy loss of the averaged softmax scores; accumulates
-    parameter gradients in place and returns the mean loss.
+    """Cross-entropy loss of the averaged softmax scores; returns the mean
+    loss.  Each parameter tensor the loss reaches gets one ``step(param,
+    grad)`` call, in reverse layer order, once its layer's backward has
+    computed the gradient and read the parameter for the last time.
 
     The loss gradient is seeded directly at the classifier logits by
     ``site_xent``: differentiating through the stored float32 softmax
@@ -390,7 +389,8 @@ def backward(
         if layer.kind == "input" or layer.id not in grads:
             continue
         xs = [_resolve(acts, g, r) for r in layer.inputs]
-        for ref, gx in zip(layer.inputs, KINDS[layer.kind][1](layer, p, xs, grads.pop(layer.id))):
+        back = KINDS[layer.kind][1]
+        for ref, gx in zip(layer.inputs, back(layer, p, xs, grads.pop(layer.id), step)):
             add_to(ref, gx)
     return loss
 
@@ -423,16 +423,17 @@ class TrainConfig:
             raise ValueError(f"epochs must be at least 1, got {self.epochs}")
 
 
-def sgd_step(params: list[Parameter], lr: float) -> None:
-    """v <- MOMENTUM*v + clip(g); w <- w - lr*v; gradients zeroed."""
-    for p in params:
-        norm = float(np.linalg.norm(p.grad))
-        if norm > GRAD_CLIP:
-            p.grad *= GRAD_CLIP / norm
-        p.momentum *= MOMENTUM
-        p.momentum += p.grad
-        p.value = (p.value - lr * p.momentum).astype(np.float32)
-        p.grad[...] = 0.0
+def sgd_step(p: Parameter, grad: np.ndarray, lr: float) -> None:
+    """One tensor's update: g <- clip(g); v <- MOMENTUM*v + g; w <- w - lr*v.
+    ``grad`` is clipped in place; the momentum starts at zero."""
+    norm = float(np.linalg.norm(grad))
+    if norm > GRAD_CLIP:
+        grad *= GRAD_CLIP / norm
+    if p.momentum is None:
+        p.momentum = np.zeros(p.value.shape, COMPUTE)
+    p.momentum *= MOMENTUM
+    p.momentum += grad
+    p.value = (p.value - lr * p.momentum).astype(np.float32)
 
 
 def train_toy(
@@ -459,7 +460,6 @@ def train_toy(
     calibrate_init(
         g, params, Tensor5D(np.concatenate([dataset[i][0].data for i in take], axis=0))
     )
-    plist = params.parameters()
     history: list[dict] = []
     best = math.inf
     stale = 0
@@ -471,10 +471,10 @@ def train_toy(
             xb = Tensor5D(np.concatenate([dataset[i][0].data for i in idx], axis=0))
             yb = np.array([dataset[i][1] for i in idx])
             acts = forward(g, params, xb)
-            loss = backward(g, params, acts, yb)
+            # looked up per step, so a wrapper swapped in at autodiff.sgd_step runs
+            loss = backward(g, params, acts, yb, partial(sgd_step, lr=lr))
             hits += int((predict_scores(g, acts).argmax(axis=1) == yb).sum())
             losses.append(loss * len(idx))
-            sgd_step(plist, lr)
         epoch_loss = sum(losses) / len(dataset)
         acc = hits / len(dataset)
         history.append(

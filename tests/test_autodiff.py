@@ -4,6 +4,8 @@ import importlib.util
 import io
 import struct
 import sys
+import tracemalloc
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -269,6 +271,23 @@ def tiny_graph():
     return ModuleGraph(layers, "i3d", num_classes=3)
 
 
+def collecting_step():
+    """A ``backward`` step that updates nothing and keeps each gradient it is
+    handed, keyed by ``id`` of its Parameter; a second call for one tensor
+    fails."""
+    grads: dict[int, np.ndarray] = {}
+
+    def step(par: Parameter, grad: np.ndarray) -> None:
+        assert id(par) not in grads
+        grads[id(par)] = grad
+
+    return step, grads
+
+
+def parameter_tensors(p: NetworkParams) -> list[Parameter]:
+    return [*p.conv.values(), *(t for s in p.bn.values() for t in (s.gamma, s.beta))]
+
+
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
@@ -307,7 +326,7 @@ class TestBenchmarkHooks:
             for g in graphs:
                 p = autodiff.init_params(g, 0)
                 acts = autodiff.forward(g, p, Tensor5D(np.ones(TOY_SHAPE, np.float32)))
-                autodiff.backward(g, p, acts, np.array([1]))
+                autodiff.backward(g, p, acts, np.array([1]), collecting_step()[0])
         finally:
             tracer.uninstall()
         checked, bad = tracer.mac_check()
@@ -315,6 +334,30 @@ class TestBenchmarkHooks:
         assert checked == sum(
             layer.kind == "conv" for g in [probed, *graphs] for layer in g.layers
         )
+
+    def test_tracer_sees_one_sgd_step_per_tensor_inside_backward(self, monkeypatch):
+        """``train_toy`` builds its step from ``autodiff.sgd_step`` when it
+        runs, so the tracer's wrapper times every per-tensor update, and
+        each update runs inside ``autodiff.backward``."""
+        tracer_mod = load_perfbench("tracer", monkeypatch)
+        for name in tracer_mod.MODULES:
+            importlib.import_module("lw3d." + name)
+        g = toy_net()
+        cfg = TrainConfig(learning_rate=0.01, epochs=1, batch_size=2)
+        tracer = tracer_mod.Tracer()
+        tracer.install()
+        try:
+            _, params = train_toy(g, toy_dataset(2), cfg, seed=0)
+        finally:
+            tracer.uninstall()
+        steps = [i for i, name in enumerate(tracer.names) if name == "autodiff.sgd_step"]
+        assert len(steps) == len(parameter_tensors(params))
+        for i in steps:
+            assert tracer.names[tracer.parents[i]] == "autodiff.backward"
+        spans = tracer.totals(0, len(tracer.names))
+        values = tracer_mod.layer_values(spans, {}, 1, dict(tracer.counts), {})
+        assert values["autodiff.sgd_step.calls"] == len(steps)
+        assert values["autodiff.sgd_step.s"] > 0
 
     def test_tracer_covers_the_liveness_forward_of_infer(self, tmp_path, monkeypatch):
         """``lw3d infer`` keeps only the output; the tracer must still count
@@ -400,7 +443,7 @@ class TestBenchmarkHooks:
         g = toy_net()
         p = init_params(g, 0)
         acts = forward(g, p, Tensor5D(np.ones(TOY_SHAPE, np.float32)))
-        backward(g, p, acts, np.array([1]))
+        backward(g, p, acts, np.array([1]), collecting_step()[0])
         assert called == {name for _, name in self.KINDS_OPS}
 
     def test_lowered_conv_builds_patches_through_ops(self, monkeypatch):
@@ -430,14 +473,18 @@ class TestEndToEndBackward:
             scratch = init_params(g, 1)
             for lid in params.conv:
                 scratch.conv[lid].value = params.conv[lid].value.copy()
-            return backward(g, scratch, forward(g, scratch, x), labels)
+            for lid, st in params.bn.items():
+                scratch.bn[lid].gamma.value = st.gamma.value.copy()
+                scratch.bn[lid].beta.value = st.beta.value.copy()
+            return backward(g, scratch, forward(g, scratch, x), labels, collecting_step()[0])
 
-        acts = forward(g, params, x)
-        backward(g, params, acts, labels)
+        step, grads = collecting_step()
+        backward(g, params, forward(g, params, x), labels, step)
         eps = 1e-3
-        for lid in ("c1", "head"):
-            w = params.conv[lid].value
-            analytic = params.conv[lid].grad.copy()
+        b1 = params.bn["b1"]
+        for par in (params.conv["c1"], params.conv["head"], b1.gamma, b1.beta):
+            w = par.value
+            analytic = grads[id(par)]
             coords = [
                 np.unravel_index(i, w.shape)
                 for i in rng.choice(w.size, size=4, replace=False)
@@ -459,7 +506,7 @@ class TestEndToEndBackward:
         labels = np.array([1, 0])
         params = init_params(g, 0)
         acts = forward(g, params, x)
-        loss = backward(g, params, acts, labels)
+        loss = backward(g, params, acts, labels, collecting_step()[0])
         scores = predict_scores(g, acts)
         expected = -np.log(scores[np.arange(2), labels]).mean()
         assert loss == pytest.approx(expected, rel=1e-5)
@@ -470,36 +517,85 @@ class TestEndToEndBackward:
         params = init_params(trimmed, 0)
         x = Tensor5D(np.zeros((2, 2, 4, 6, 6), dtype=np.float32))
         with pytest.raises(ValueError, match="softmax"):
-            backward(trimmed, params, forward(trimmed, params, x), np.array([0, 1]))
+            backward(
+                trimmed, params, forward(trimmed, params, x), np.array([0, 1]),
+                collecting_step()[0],
+            )
 
 
 class TestSgd:
     def test_momentum_hand_values(self):
         p = Parameter.of(np.zeros(1))
-        p.grad[:] = 1.0  # at the clip norm, so not rescaled
-        sgd_step([p], 1.0)
+        sgd_step(p, np.ones(1), 1.0)  # at the clip norm, so not rescaled
         assert p.value[0] == pytest.approx(-1.0)
-        p.grad[:] = 1.0
-        sgd_step([p], 1.0)  # v = 0.9*1 + 1 = 1.9; w = -1 - 1.9
+        sgd_step(p, np.ones(1), 1.0)  # v = 0.9*1 + 1 = 1.9; w = -1 - 1.9
         assert p.value[0] == pytest.approx(-2.9)
-
-    def test_gradients_zeroed_after_step(self):
-        p = Parameter.of(np.zeros(3))
-        p.grad[:] = 2.0
-        sgd_step([p], 0.1)
-        assert not p.grad.any()
 
     def test_grad_clip_rescales_to_unit_norm(self):
         p = Parameter.of(np.zeros(4))
-        p.grad[:] = 5.0  # norm 10
-        sgd_step([p], 1.0)  # first step: the momentum buffer starts at zero
+        # norm 10; on the first step the momentum starts at zero
+        sgd_step(p, np.full(4, 5.0), 1.0)
         assert np.linalg.norm(p.value) == pytest.approx(1.0, rel=1e-6)
 
     def test_small_gradients_not_rescaled(self):
         p = Parameter.of(np.zeros(4))
-        p.grad[:] = 0.1
-        sgd_step([p], 1.0)
+        sgd_step(p, np.full(4, 0.1), 1.0)
         assert p.value == pytest.approx(-0.1 * np.ones(4))
+
+    @pytest.mark.parametrize("arch", ARCHS)
+    def test_streamed_step_matches_two_phase(self, arch):
+        """``backward`` hands each gradient to ``step`` before it has run the
+        earlier layers.  Updating at once must give bit-identical values and
+        momenta to updating after ``backward`` returns, which fails if any
+        backward entry reads a parameter after that parameter's update."""
+        g = toy_net(arch)
+        data = toy_dataset(4)
+        x = Tensor5D(np.concatenate([clip.data for clip, _ in data], axis=0))
+        streamed, phased = init_params(g, 2), init_params(g, 2)
+        calibrate_init(g, streamed, x)
+        calibrate_init(g, phased, x)
+        for i in range(3):
+            xb = Tensor5D(x.data[i : i + 2])
+            yb = np.array([label for _, label in data[i : i + 2]])
+            a = backward(g, streamed, forward(g, streamed, xb), yb, partial(sgd_step, lr=0.01))
+            step, grads = collecting_step()
+            b = backward(g, phased, forward(g, phased, xb), yb, step)
+            assert a == b
+            tensors = parameter_tensors(phased)
+            assert len(grads) == len(tensors)  # the loss reaches every tensor
+            for par in tensors:
+                sgd_step(par, grads[id(par)], 0.01)
+        for s, p in zip(parameter_tensors(streamed), parameter_tensors(phased)):
+            assert np.array_equal(s.value, p.value)
+            assert np.array_equal(s.momentum, p.momentum)
+
+    def test_step_peak_memory_is_parameter_bound(self):
+        """One i3d step at width 1 holds 12.29M parameters.  A float32 value,
+        a float64 momentum and one float64 gradient set are 20 bytes each;
+        gradients streamed into the update stay well under that, where a
+        whole-network gradient and momentum allocated up front do not."""
+        g = build_network("i3d", Shape5(2, 3, 8, 32, 32), num_classes=2, width_mult=1.0)
+        rng = np.random.default_rng(0)
+        x = Tensor5D(rng.standard_normal(tuple(g.input_shape)).astype(np.float32))
+        tracemalloc.start()
+        try:
+            p = init_params(g, 0)
+            backward(g, p, forward(g, p, x), np.array([0, 1]), partial(sgd_step, lr=0.01))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        tensors = parameter_tensors(p)
+        count = sum(t.value.size for t in tensors)
+        assert count == 12_289_312
+        assert all(t.momentum is not None for t in tensors)
+        assert peak < 20 * count
+
+    def test_init_and_load_allocate_no_momentum(self, tmp_path):
+        g = toy_net()
+        p = init_params(g, 0)
+        save_weights(tmp_path / "w.lw3d", g, p)
+        for q in (p, load_weights(tmp_path / "w.lw3d", g)):
+            assert all(t.momentum is None for t in parameter_tensors(q))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -826,7 +922,7 @@ class TestCompiledGraph:
         monkeypatch.setattr(ModuleGraph, "port", spy)
         p = init_params(g, 0)
         acts = forward(g, p, Tensor5D(np.ones(TOY_SHAPE, np.float32)))
-        backward(g, p, acts, np.array([1]))
+        backward(g, p, acts, np.array([1]), collecting_step()[0])
         analysis.analyze(g)
         assert parsed == []
 
