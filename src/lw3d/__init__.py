@@ -5,7 +5,7 @@ graphs, runs them forward (and backward, for toy-scale training) on 5-D
 ``NCTHW`` tensors, and reports exact per-layer parameter and FLOP counts.
 """
 
-from .analysis import analyze, compare_factorizations, count_flops, count_params, module_cost
+from .analysis import analyze, compare_factorizations, module_cost
 from .autodiff import TrainConfig, forward, init_params, predict_scores, train_toy
 from .fusion import MS1, MS2, merge, tanh_weight
 from .graph import (
@@ -16,7 +16,6 @@ from .graph import (
     allocate_groups,
     build_inception_module,
     build_network,
-    infer_shapes,
 )
 from .ops import Conv3DSpec, PoolSpec, conv3d_direct, conv3d_lowered
 from .tensor import Shape5, Tensor5D, load_tensor, save_tensor
@@ -40,10 +39,7 @@ __all__ = [
     "compare_factorizations",
     "conv3d_direct",
     "conv3d_lowered",
-    "count_flops",
-    "count_params",
     "forward",
-    "infer_shapes",
     "init_params",
     "load_tensor",
     "merge",

@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .graph import (
@@ -111,19 +111,9 @@ def _to_report(g: ModuleGraph, costs: list[_LayerCost]) -> CostReport:
     return CostReport(rows, tp, tf, notes=list(g.notes))
 
 
-def count_params(g: ModuleGraph, include_bn_params: bool = False) -> CostReport:
-    return _to_report(g, [c._replace(flops=0) for c in _layer_costs(g, include_bn_params)])
-
-
-def count_flops(g: ModuleGraph, input_shape: Shape5 | None = None) -> CostReport:
-    if input_shape is not None:  # the same layers, fed another input
-        layers = [replace(l, params=input_shape) if l.kind == "input" else l for l in g.layers]
-        g = ModuleGraph(layers, g.arch, g.num_classes, g.notes)
-    return _to_report(g, _layer_costs(g))
-
-
 def analyze(g: ModuleGraph, include_bn_params: bool = False) -> CostReport:
-    """Combined per-row parameter and FLOP report for a network graph."""
+    """The one cost report: per-row parameters and FLOPs of ``g`` at its own
+    input.  To cost another input, build the network at that input."""
     return _to_report(g, _layer_costs(g, include_bn_params))
 
 

@@ -202,7 +202,7 @@ def save_weights(path, g: ModuleGraph, p: NetworkParams) -> None:
             else:
                 s = p.bn[layer.id]
                 rec = np.stack([s.gamma.value, s.beta.value, s.mean, s.var])
-            tensor.write_record(f, tensor.from_array(rec.reshape(_record_shape(layer))))
+            tensor.write_record(f, Tensor5D(rec.reshape(_record_shape(layer))))
 
 
 def load_weights(path, g: ModuleGraph) -> NetworkParams:
@@ -415,12 +415,14 @@ class TrainConfig:
     plateau_patience: int = 5
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning rate must be positive")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(f"learning rate must be positive and finite, got {self.learning_rate}")
         if self.batch_size < 1:
             raise ValueError(f"batch size must be at least 1, got {self.batch_size}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be at least 1, got {self.epochs}")
+        if self.plateau_patience < 1:
+            raise ValueError(f"plateau patience must be at least 1, got {self.plateau_patience}")
 
 
 def sgd_step(p: Parameter, grad: np.ndarray, lr: float) -> None:

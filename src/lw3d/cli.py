@@ -193,10 +193,11 @@ def _read_scores_csv(path) -> np.ndarray:
     for line, row in rows:
         if len(row) != width:
             raise ValueError(f"{path}: line {line}: expected {width} scores, got {len(row)}")
-        scores.append(
-            [_csv_cell(path, line, v, float, "score {!r} is not a number") for v in row]
-        )
-    return np.asarray(scores, dtype=np.float64)
+        for v in row:
+            scores.append(_csv_cell(path, line, v, float, "score {!r} is not a number"))
+            if not math.isfinite(scores[-1]):
+                raise ValueError(f"{path}: line {line}: score {v!r} is not a finite number")
+    return np.asarray(scores, dtype=np.float64).reshape(len(rows), width)
 
 
 def _read_labels_csv(path, classes: int) -> np.ndarray:

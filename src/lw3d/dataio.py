@@ -29,9 +29,8 @@ def sample_clip(video: Tensor5D, length: int = 32, seed: int = 0) -> Tensor5D:
     t = video.t
     if t >= length:
         start = int(np.random.default_rng(seed).integers(0, t - length + 1))
-        return Tensor5D(np.ascontiguousarray(video.data[:, :, start : start + length]))
-    idx = np.arange(length) % t
-    return Tensor5D(np.ascontiguousarray(video.data[:, :, idx]))
+        return Tensor5D(video.data[:, :, start : start + length])
+    return Tensor5D(video.data[:, :, np.arange(length) % t])
 
 
 def synth_clip(

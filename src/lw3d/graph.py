@@ -425,7 +425,8 @@ def _output_shape(layer: LayerSpec, ins: list[Shape5]) -> Shape5:
 
 
 def infer_shapes(g: ModuleGraph) -> dict[str, Shape5]:
-    """Every layer's output shape, as inferred when ``g`` was built."""
+    """``g.shapes``.  Kept only for ``perfbench/tracer.py``, which calls and
+    times it; ROADMAP item 14 retires it with the tracer's wrappers."""
     return g.shapes
 
 

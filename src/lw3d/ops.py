@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -119,15 +119,10 @@ class PoolSpec:
 
 @dataclass
 class MacCounter:
-    """Tally of multiply-accumulates actually performed by convolution calls."""
+    """Multiply-accumulates performed by ``conv3d_lowered`` calls, in total;
+    ``perfbench/tracer.py`` reads it and keeps its own per-layer tally."""
 
     macs: int = 0
-    per_layer: dict = field(default_factory=dict)
-
-    def add(self, count: int, tag: str | None = None):
-        self.macs += count
-        if tag is not None:
-            self.per_layer[tag] = self.per_layer.get(tag, 0) + count
 
 
 def _pad_input(x: np.ndarray, padding: Triple, value: float = 0.0) -> np.ndarray:
@@ -168,10 +163,11 @@ def conv3d_direct(
     x: Tensor5D,
     spec: Conv3DSpec,
     weights: np.ndarray,
-    counter: MacCounter | None = None,
     tag: str | None = None,
 ) -> Tensor5D:
-    """Direct convolution: accumulate one shifted input slice per kernel tap."""
+    """Direct convolution: accumulate one shifted input slice per kernel tap.
+    ``tag`` is unused; it lets the oracle stand in for ``conv3d_lowered``
+    at its call in ``autodiff.KINDS``."""
     out_shape = spec.output_shape(x.shape)
     w = _check_weights(spec, weights)
     xp = _pad_input(x.data.astype(np.float64), spec.padding)
@@ -186,8 +182,6 @@ def conv3d_direct(
         for tap in _taps(spec.kernel):
             view = _offset_view(xg, tap, out_dims, spec.stride)
             acc += np.einsum("oc,ncthw->nothw", wg[(..., *tap)], view)
-    if counter is not None:
-        counter.add(spec.macs(out_shape), tag)
     return Tensor5D(out)
 
 
@@ -232,7 +226,8 @@ def conv3d_lowered(
     tag: str | None = None,
 ) -> Tensor5D:
     """Convolution by patch-matrix lowering and matrix multiply, one
-    ``_time_tiles`` tile at a time."""
+    ``_time_tiles`` tile at a time.  ``counter`` gains the call's MACs;
+    ``tag`` names the layer.  Only ``perfbench/tracer.py`` reads either."""
     out_shape = spec.output_shape(x.shape)
     # cast once: a float32 weight is cast again by every tile's matmul
     w = _check_weights(spec, weights).astype(COMPUTE)
@@ -250,7 +245,7 @@ def conv3d_lowered(
             cols = _im2col(xp[:, cs, xs], spec.kernel, dims, spec.stride)
             out[:, os_, ts] = (wmat @ cols).reshape(x.n, og, *dims)
     if counter is not None:
-        counter.add(spec.macs(out_shape), tag)
+        counter.macs += spec.macs(out_shape)
     return Tensor5D(out)
 
 
@@ -272,7 +267,7 @@ def channel_shuffle(x: Tensor5D, groups: int) -> Tensor5D:
         .transpose(0, 2, 1, 3, 4, 5)
         .reshape(n, c, t, h, w)
     )
-    return Tensor5D(np.ascontiguousarray(y))
+    return Tensor5D(y)
 
 
 def pool3d(x: Tensor5D, spec: PoolSpec) -> Tensor5D:
@@ -298,8 +293,9 @@ def batchnorm_infer(x: Tensor5D, gamma, beta, mean, var) -> Tensor5D:
     gamma, beta, mean, var = (np.asarray(v, dtype=COMPUTE) for v in (gamma, beta, mean, var))
     if len(gamma) != x.c:
         raise ValueError(f"batch-norm has {len(gamma)} channels, input has {x.c}")
-    scale = (gamma / np.sqrt(var + BN_EPS)).reshape(1, -1, 1, 1, 1)
-    shift = (beta - mean * gamma / np.sqrt(var + BN_EPS)).reshape(1, -1, 1, 1, 1)
+    std = np.sqrt(var + BN_EPS)
+    scale = (gamma / std).reshape(1, -1, 1, 1, 1)
+    shift = (beta - mean * gamma / std).reshape(1, -1, 1, 1, 1)
     y = x.data * scale
     y += shift  # in place: one COMPUTE temporary, not two
     return Tensor5D(y)

@@ -84,17 +84,6 @@ class Tensor5D:
         return isinstance(other, Tensor5D) and np.array_equal(self.data, other.data)
 
 
-def zeros(shape: Shape5 | tuple) -> Tensor5D:
-    shape = Shape5(*shape)
-    if any(d < 1 for d in shape):
-        raise ValueError(f"all shape components must be >= 1, got {shape}")
-    return Tensor5D(np.zeros(shape, dtype=np.float32))
-
-
-def from_array(a: np.ndarray) -> Tensor5D:
-    return Tensor5D(np.asarray(a))
-
-
 def concat_channels(parts: Sequence[Tensor5D]) -> Tensor5D:
     """Concatenate along the channel axis; part k occupies a contiguous block."""
     if not parts:

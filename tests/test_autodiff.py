@@ -35,7 +35,6 @@ from lw3d.graph import (
     ModuleGraph,
     SplitSpec,
     build_network,
-    infer_shapes,
     parameterized_layers,
 )
 from lw3d.ops import Conv3DSpec, PoolSpec
@@ -186,6 +185,10 @@ class TestOperatorGradients:
         for narrow_out, wide_out in zip(*outs):
             assert narrow_out.dtype == wide_out.dtype
             assert narrow_out.tobytes() == wide_out.tobytes()
+
+    def test_check_op_rejects_unknown_op(self):
+        with pytest.raises(ValueError, match=r"^unknown op 'nope'; choose from \('conv3d', "):
+            gradcheck.check_op("nope")
 
     def test_check_op_rejects_zero_trials(self):
         with pytest.raises(ValueError, match="at least one trial"):
@@ -384,7 +387,7 @@ class TestBenchmarkHooks:
         checked, bad = tracer.mac_check()
         assert bad == []
         assert checked == sum(layer.kind == "conv" for layer in g.layers)
-        shapes = infer_shapes(g)
+        shapes = g.shapes
         static = sum(
             analysis._layer_flops(layer, shapes[layer.id])
             for layer in g.layers if layer.kind == "conv"
@@ -604,6 +607,15 @@ class TestSgd:
             TrainConfig(batch_size=0)
         with pytest.raises(ValueError, match="epochs must be at least 1, got 0"):
             TrainConfig(epochs=0)
+        for lr in (float("nan"), float("inf"), -1.0):
+            message = f"^learning rate must be positive and finite, got {lr}$"
+            with pytest.raises(ValueError, match=message):
+                TrainConfig(learning_rate=lr)
+        for patience in (0, -3):
+            message = f"^plateau patience must be at least 1, got {patience}$"
+            with pytest.raises(ValueError, match=message):
+                TrainConfig(plateau_patience=patience)
+        assert TrainConfig(plateau_patience=1).plateau_patience == 1
 
 
 class TestWeightFile:

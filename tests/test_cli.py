@@ -11,7 +11,7 @@ from lw3d.analysis import module_cost
 from lw3d.autodiff import init_params, save_weights
 from lw3d.cli import build_parser, main
 from lw3d.dataio import synth_clip, synth_dataset
-from lw3d.graph import ARCHS, WIDTH_TABLE, InceptionWidths, build_network, infer_shapes
+from lw3d.graph import ARCHS, WIDTH_TABLE, InceptionWidths, build_network
 from lw3d.tensor import Shape5, Tensor5D
 
 
@@ -246,6 +246,8 @@ MALFORMED_CORPUS = {
     "zero-width.ini": "[network]\narch = gsst\ninput = 3x8x32x32\n[widths.4b]\n"
     "b1 = 0\nb2_reduce = 0\nb2_out = 0\nb3_reduce = 0\nb3_out = 0\nb4_proj = 0\n",
     "zero-width-mult.ini": "[network]\narch = gsst\ninput = 3x8x32x32\nwidth_mult = 0\n",
+    "nan.csv": "0.5,0.5\nnan,0.5\n",
+    "inf.csv": "0.5,0.5\n0.5,inf\n",
 }
 # a well-formed score file, for the fuse inputs that are not under test
 SCORES = "scores.csv"
@@ -295,6 +297,8 @@ CLIP = "clip.lw3d"
         ("bad-arch.ini", ("analyze", "--config")),
         ("zero-width.ini", ("analyze", "--config")),
         ("zero-width-mult.ini", ("analyze", "--config")),
+        ("nan.csv", ("fuse", "--scores-b", SCORES, "--scores-a")),
+        ("inf.csv", ("fuse", "--scores-a", SCORES, "--scores-b")),
     ],
 )
 def test_malformed_file_is_one_line_data_error(capsys, tmp_path, monkeypatch, name, argv):
@@ -365,6 +369,13 @@ class TestAnalyze:
         assert "params 204096" in out
         assert "stage-one params 52800" in out
 
+    def test_module_without_arch_costs_i3d(self, capsys):
+        # README: with neither --arch nor --config, --module costs i3d's module
+        code, out, _ = run(capsys, "analyze", "--module", "4b")
+        assert code == 0
+        assert out == run(capsys, "analyze", "--arch", "i3d", "--module", "4b")[1]
+        assert out.startswith("module 4b (i3d)\n")
+
     def test_deterministic_output(self, capsys):
         _, first, _ = run(capsys, "analyze", "--arch", "ist", "--format", "csv")
         _, second, _ = run(capsys, "analyze", "--arch", "ist", "--format", "csv")
@@ -382,7 +393,7 @@ class TestAnalyze:
     def test_module_cost_at_the_network_input(self, capsys, arch):
         """--module M costs M at the channels and sites it meets in the network."""
         g = build_network(arch, Shape5(1, 3, 32, 224, 224))
-        shapes = infer_shapes(g)
+        shapes = g.shapes
         for module in WIDTH_TABLE:
             first = next(l for l in g.layers if l.id.startswith(module + "."))
             x = shapes[first.inputs[0]]
@@ -513,6 +524,15 @@ class TestFuse:
             f"lw3d: error: {tmp_path / 'y.csv'}: line 2: label {label} is not one of "
             "the 2 classes"
         )
+
+    @pytest.mark.parametrize(
+        "cell,fault",
+        [("nan", "a finite number"), ("inf", "a finite number"), ("-inf", "a finite number"),
+         ("1e999", "a finite number"), ("x", "a number")],
+    )
+    def test_bad_score_names_file_and_line(self, capsys, tmp_path, cell, fault):
+        err = self.fuse_fault(capsys, tmp_path, b=f"0.9,0.1\n0.2,{cell}\n")
+        assert err == f"lw3d: error: {tmp_path / 'b.csv'}: line 2: score '{cell}' is not {fault}"
 
     def test_label_row_with_extra_cells_names_file_and_line(self, capsys, tmp_path):
         err = self.fuse_fault(capsys, tmp_path, labels="0,7\n1,x\n")

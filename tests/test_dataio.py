@@ -110,6 +110,13 @@ class TestManifest:
         write_manifest(path, records)
         assert read_manifest(path) == records
 
+    def test_non_integer_label_names_file_and_line(self, tmp_path):
+        path = tmp_path / "m.tsv"
+        path.write_text("/x.lw3d\t1\trgb\ts\n/y.lw3d\tcat\trgb\ts\n")
+        with pytest.raises(ValueError) as e:
+            read_manifest(path)
+        assert str(e.value) == f"{path}: line 2: label 'cat' is not an integer"
+
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "m.tsv"
         path.write_text("/x.lw3d\t1\trgb\ts\n\n\n")

@@ -16,7 +16,6 @@ from lw3d.graph import (
     allocate_groups,
     build_inception_module,
     build_network,
-    infer_shapes,
     parse_network_config,
     parse_shape_arg,
     shuffle_group_count,
@@ -112,24 +111,24 @@ class TestBuildNetwork:
 
     def test_conv1_output_shape(self):
         g = build_network("i3d", CANONICAL)
-        shapes = infer_shapes(g)
+        shapes = g.shapes
         assert shapes["conv1"] == Shape5(1, 64, 16, 112, 112)
 
     def test_factorized_stem_reaches_same_shape(self):
         for arch in ("ist", "sst", "gsst"):
-            shapes = infer_shapes(build_network(arch, CANONICAL))
+            shapes = build_network(arch, CANONICAL).shapes
             assert shapes["conv1.temporal"] == Shape5(1, 64, 16, 112, 112)
 
     def test_pre_classifier_feature_map(self):
         for arch in ARCHS:
             g = build_network(arch, CANONICAL)
-            shapes = infer_shapes(g)
+            shapes = g.shapes
             assert shapes["5c.concat"] == Shape5(1, 1024, 4, 7, 7)
             assert shapes["avgp"] == Shape5(1, 1024, 3, 1, 1)
 
     def test_classifier_channels(self):
         g = build_network("i3d", CANONICAL, num_classes=60)
-        shapes = infer_shapes(g)
+        shapes = g.shapes
         assert shapes["classifier"].c == 60
         assert shapes[g.output_id].c == 60
 
@@ -177,6 +176,16 @@ class TestBuildNetwork:
                 "i3d",
             )
 
+    def test_non_input_layer_without_inputs_rejected(self):
+        with pytest.raises(ValueError, match="^layer 'a' has no predecessor$"):
+            ModuleGraph(
+                [
+                    LayerSpec("input", "input", Shape5(1, 1, 1, 1, 1)),
+                    LayerSpec("a", "relu", None, []),
+                ],
+                "i3d",
+            )
+
     def test_softmax_before_last_layer_rejected(self):
         with pytest.raises(ValueError, match="'probs'.*not the last layer"):
             ModuleGraph(
@@ -201,10 +210,18 @@ class TestBuildNetwork:
         assert g.port("sp:0") == ("sp", slice(0, 1))
         assert g.port("sp:1") == ("sp", slice(1, 4))
         assert g.port("sp:2") == ("sp", slice(4, 6))
-        assert infer_shapes(g)["cat"].c == 3
+        assert g.shapes["cat"].c == 3
         for bad in ("sp:3", "sp:x", "input:0"):
             with pytest.raises(ValueError, match="names no port"):
                 g.port(bad)
+
+    def test_rejects_zero_channel_input(self):
+        with pytest.raises(ValueError, match="^input must have at least one channel$"):
+            build_network("i3d", Shape5(1, 0, 8, 32, 32))
+
+    def test_inception_module_rejects_unknown_variant(self):
+        with pytest.raises(ValueError, match="^unknown variant 'c3d'$"):
+            build_inception_module(WIDTH_TABLE["4b"], "c3d", 480)
 
     def test_rejects_non_positive_classes_and_width(self):
         with pytest.raises(ValueError, match="at least one class"):
@@ -220,7 +237,7 @@ class TestBuildNetwork:
     def test_shape_error_names_offending_layer(self):
         # a 1-frame clip survives the stem but dies at the temporal pools
         with pytest.raises(ValueError, match="maxp4"):
-            infer_shapes(build_network("i3d", Shape5(1, 3, 1, 224, 224)))
+            build_network("i3d", Shape5(1, 3, 1, 224, 224))
 
     @pytest.mark.parametrize(
         "layer,rule",
@@ -254,7 +271,7 @@ class TestBuildNetwork:
 class TestInceptionModule:
     def test_i3d_module_branches_concat(self):
         g = build_inception_module(WIDTH_TABLE["4b"], "i3d", 480, name="4b")
-        shapes = infer_shapes(g)
+        shapes = g.shapes
         assert shapes["4b.concat"] == Shape5(1, 512, 8, 14, 14)
 
     def test_sst_split_matches_allocation(self):
@@ -320,10 +337,11 @@ class TestConfig:
              r"\[network\] classes: must be at least 1, got 0"),
             ("[network]\narch = i3d\ninput = 3x8x32x32\nwidth_mult = nan\n",
              r"\[network\] width_mult: must be positive and finite, got nan"),
+            ("[widths.4b]\nb1 = 1\n", r"missing \[network\] section$"),
         ],
         ids=["no-header", "no-arch", "no-input", "bad-classes", "bad-shape",
              "duplicate-key", "short-widths", "unknown-arch", "zero-width", "zero-classes",
-             "nan-width-mult"],
+             "nan-width-mult", "no-network"],
     )
     def test_config_errors_are_one_line_naming_the_file(self, tmp_path, text, message):
         path = tmp_path / "net.ini"
@@ -341,9 +359,9 @@ class TestConfig:
 
 
 def shape_digest(g: ModuleGraph) -> str:
-    """Hash of every layer's (id, output shape) from ``infer_shapes``."""
+    """Hash of every layer's (id, output shape) from ``g.shapes``."""
     h = hashlib.sha256()
-    for lid, shape in infer_shapes(g).items():
+    for lid, shape in g.shapes.items():
         h.update(repr((lid, tuple(shape))).encode())
     return h.hexdigest()[:16]
 

@@ -82,6 +82,21 @@ class TestConv3DSpec:
         with pytest.raises(ValueError, match="groups"):
             Conv3DSpec(4, 3, (1, 1, 1), groups=2)
 
+    def test_rejects_zero_channels_and_groups(self):
+        for cin, cout, groups in ((0, 4, 1), (4, 0, 1), (4, 4, 0)):
+            with pytest.raises(ValueError, match="^channel and group counts must be positive$"):
+                Conv3DSpec(cin, cout, (1, 1, 1), groups=groups)
+
+    def test_rejects_zero_kernel_and_stride(self):
+        for make in (
+            lambda: Conv3DSpec(2, 2, (0, 1, 1)),
+            lambda: Conv3DSpec(2, 2, (1, 1, 1), (1, 0, 1)),
+            lambda: PoolSpec("max", (1, 1, 0)),
+        ):
+            message = "^kernel and stride components must be positive$"
+            with pytest.raises(ValueError, match=message):
+                make()
+
     def test_output_shape_floor_formula(self):
         spec = Conv3DSpec(3, 8, (7, 7, 7), (2, 2, 2), (3, 3, 3))
         assert spec.output_shape(Shape5(1, 3, 32, 224, 224)) == Shape5(
@@ -166,13 +181,13 @@ class TestConvImplementations:
             )
 
     def test_groups_one_bit_exact_between_impls_on_identity(self):
-        x = tensor.zeros((1, 3, 2, 2, 2))
+        x = Tensor5D(np.zeros((1, 3, 2, 2, 2), np.float32))
         spec = Conv3DSpec(3, 3, (1, 1, 1))
         w = np.eye(3, dtype=np.float32).reshape(3, 3, 1, 1, 1)
         assert ops.conv3d_direct(x, spec, w) == ops.conv3d_lowered(x, spec, w)
 
     def test_weight_shape_checked(self):
-        x = tensor.zeros((1, 2, 3, 3, 3))
+        x = Tensor5D(np.zeros((1, 2, 3, 3, 3), np.float32))
         spec = Conv3DSpec(2, 2, (3, 3, 3), padding=(1, 1, 1))
         with pytest.raises(ValueError, match="weights shape"):
             ops.conv3d_direct(x, spec, np.zeros((2, 2, 3, 3), dtype=np.float32))
@@ -184,11 +199,15 @@ class TestConvImplementations:
         w = rng.standard_normal(spec.weight_shape).astype(np.float32)
         out = spec.output_shape(x.shape)
         expected = out.size * (spec.in_channels // spec.groups) * 9
-        for impl in (ops.conv3d_direct, ops.conv3d_lowered):
-            counter = MacCounter()
-            impl(x, spec, w, counter, "layer")
-            assert counter.macs == expected
-            assert counter.per_layer == {"layer": expected}
+        assert spec.macs(out) == expected
+        counter = MacCounter()
+        y = ops.conv3d_lowered(x, spec, w, counter, "layer")
+        assert counter.macs == expected
+        ops.conv3d_lowered(x, spec, w, counter)  # the counter keeps a running total
+        assert counter.macs == 2 * expected
+        # the oracle takes the tag, so it can stand in for the lowering
+        np.testing.assert_allclose(ops.conv3d_direct(x, spec, w, tag="layer").data, y.data,
+                                   atol=1e-4)
 
 
 class TestTiledLowering:
@@ -336,12 +355,12 @@ class TestChannelShuffle:
 
     def test_rejects_indivisible(self):
         with pytest.raises(ValueError):
-            ops.channel_shuffle(tensor.zeros((1, 5, 1, 1, 1)), 2)
+            ops.channel_shuffle(Tensor5D(np.zeros((1, 5, 1, 1, 1), np.float32)), 2)
 
 
 class TestPooling:
     def test_max_and_avg_window_values(self):
-        x = tensor.from_array(
+        x = Tensor5D(
             np.array([1.0, 2.0, 3.0, 4.0], dtype=np.float32).reshape(1, 1, 1, 2, 2)
         )
         spec_max = PoolSpec("max", (1, 2, 2))
@@ -350,12 +369,12 @@ class TestPooling:
         assert ops.pool3d(x, spec_avg).data.reshape(-1)[0] == 2.5
 
     def test_max_padding_never_wins(self):
-        x = tensor.from_array(np.full((1, 1, 1, 1, 1), -5.0, dtype=np.float32))
+        x = Tensor5D(np.full((1, 1, 1, 1, 1), -5.0, dtype=np.float32))
         y = ops.pool3d(x, PoolSpec("max", (3, 3, 3), (1, 1, 1), (1, 1, 1)))
         assert y.data.reshape(-1)[0] == -5.0
 
     def test_avg_divides_by_full_kernel_volume(self):
-        x = tensor.from_array(np.full((1, 1, 1, 1, 1), 8.0, dtype=np.float32))
+        x = Tensor5D(np.full((1, 1, 1, 1, 1), 8.0, dtype=np.float32))
         y = ops.pool3d(x, PoolSpec("avg", (1, 2, 2), (1, 1, 1), (0, 1, 1)))
         # corner window covers one real element and three zero pads
         assert y.data[0, 0, 0, 0, 0] == 2.0
@@ -371,12 +390,12 @@ class TestPooling:
 
 class TestBatchNorm:
     def test_hand_evaluated_formula(self):
-        x = tensor.from_array(np.full((1, 1, 1, 1, 1), 5.0, dtype=np.float32))
+        x = Tensor5D(np.full((1, 1, 1, 1, 1), 5.0, dtype=np.float32))
         y = ops.batchnorm_infer(x, [2.0], [1.0], [3.0], [4.0])
         assert y.data.reshape(-1)[0] == np.float32(2.0 * (5.0 - 3.0) / np.sqrt(4.0 + BN_EPS) + 1.0)
 
     def test_zero_variance_guarded_by_eps(self):
-        x = tensor.from_array(np.full((1, 1, 1, 1, 1), 1.0, dtype=np.float32))
+        x = Tensor5D(np.full((1, 1, 1, 1, 1), 1.0, dtype=np.float32))
         assert np.isfinite(ops.batchnorm_infer(x, [1.0], [0.0], [0.0], [0.0]).data).all()
 
     def test_identity_params(self):
@@ -393,7 +412,7 @@ class TestBatchNorm:
 
 class TestSoftmax:
     def test_two_logit_values(self):
-        x = tensor.from_array(
+        x = Tensor5D(
             np.array([0.0, np.log(3.0)], dtype=np.float32).reshape(1, 2, 1, 1, 1)
         )
         y = ops.softmax_channels(x)

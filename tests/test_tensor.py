@@ -45,24 +45,14 @@ class TestTensor5D:
         assert x.data.flags["C_CONTIGUOUS"]
 
     def test_shape_properties(self):
-        x = tensor.zeros((2, 3, 4, 5, 6))
+        x = Tensor5D(np.zeros((2, 3, 4, 5, 6), np.float32))
         assert x.shape == Shape5(2, 3, 4, 5, 6)
         assert (x.n, x.c, x.t, x.h, x.w) == (2, 3, 4, 5, 6)
         assert x.shape.size == 720
 
 
-def test_zeros_is_all_zero():
-    x = tensor.zeros(Shape5(1, 2, 3, 4, 5))
-    assert not x.data.any()
-
-
-def test_zeros_rejects_invalid():
-    with pytest.raises(ValueError):
-        tensor.zeros((1, 2, 0, 4, 5))
-
-
 def test_relu_definition():
-    x = tensor.from_array(np.array([-1.0, 0.0, 4.0]).reshape(1, 3, 1, 1, 1))
+    x = Tensor5D(np.array([-1.0, 0.0, 4.0]).reshape(1, 3, 1, 1, 1))
     y = tensor.relu(x)
     assert y.data.reshape(-1).tolist() == [0.0, 0.0, 4.0]
 
@@ -121,9 +111,14 @@ def test_split_rejects_bad_sizes():
         ModuleGraph(layers, "sst")
 
 
+def test_concat_rejects_no_parts():
+    with pytest.raises(ValueError, match="^concat_channels requires at least one part$"):
+        tensor.concat_channels([])
+
+
 def test_concat_rejects_mismatched_sites():
-    a = tensor.zeros((1, 2, 2, 2, 2))
-    b = tensor.zeros((1, 2, 3, 2, 2))
+    a = Tensor5D(np.zeros((1, 2, 2, 2, 2), np.float32))
+    b = Tensor5D(np.zeros((1, 2, 3, 2, 2), np.float32))
     with pytest.raises(ValueError):
         tensor.concat_channels([a, b])
 
@@ -137,7 +132,7 @@ class TestFileFormat:
         assert tensor.load_tensor(path) == x
 
     def test_header_layout(self, tmp_path):
-        x = tensor.zeros((1, 2, 3, 4, 5))
+        x = Tensor5D(np.zeros((1, 2, 3, 4, 5), np.float32))
         path = tmp_path / "t.lw3d"
         tensor.save_tensor(path, x)
         raw = path.read_bytes()
@@ -147,7 +142,7 @@ class TestFileFormat:
         assert len(raw) == 45 + 4 * 120
 
     def test_payload_is_little_endian_f32(self, tmp_path):
-        x = tensor.from_array(
+        x = Tensor5D(
             np.array([1.0, -2.5], dtype=np.float32).reshape(1, 2, 1, 1, 1)
         )
         path = tmp_path / "t.lw3d"
@@ -168,7 +163,7 @@ class TestFileFormat:
             tensor.load_tensor(path)
 
     def test_truncated_payload_rejected(self, tmp_path):
-        x = tensor.zeros((1, 2, 3, 4, 5))
+        x = Tensor5D(np.zeros((1, 2, 3, 4, 5), np.float32))
         path = tmp_path / "t.lw3d"
         tensor.save_tensor(path, x)
         path.write_bytes(path.read_bytes()[:-8])
