@@ -323,6 +323,19 @@ def calibrate_init(g: ModuleGraph, p: NetworkParams, x: Tensor5D) -> None:
     forward(g, p, x, around=around, keep=())
 
 
+def _conv_bn_relu(layer: LayerSpec, p: NetworkParams, st: BnState, xs) -> Tensor5D:
+    """A conv, its frozen bn and its relu as one conv: the bn scale
+    ``gamma / sqrt(var + BN_EPS)`` folds into the weights, and the bn shift
+    and the relu run in place on the conv's fresh float32 output."""
+    scale = st.gamma.value / np.sqrt(np.asarray(st.var, COMPUTE) + BN_EPS)
+    folded = p.conv[layer.id].value * scale.reshape(-1, 1, 1, 1, 1)
+    y = ops.conv3d_lowered(xs[0], layer.params, folded, tag=layer.id)
+    d = y.data
+    d += (st.beta.value - st.mean * scale).astype(np.float32).reshape(1, -1, 1, 1, 1)
+    np.maximum(d, np.float32(0.0), out=d)
+    return y
+
+
 def forward(
     g: ModuleGraph, p: NetworkParams, x: Tensor5D, around=None, keep=None
 ) -> dict[str, Tensor5D]:
@@ -332,20 +345,31 @@ def forward(
 
     ``keep=None`` keeps every activation, which ``backward`` reads.  Any other
     collection of ids keeps only those and the output: every other activation
-    is dropped as soon as the last layer reading it has run (``g.frees``)."""
+    is dropped as soon as the last layer reading it has run (``g.frees``).
+    Such a forward without ``around`` also folds each ``g.chains`` conv ->
+    bn -> relu whose conv and bn ids are not kept into one conv
+    (``_conv_bn_relu``), stored under the relu's id; the conv's and the bn's
+    own outputs never exist."""
+    chains = {}
+    if keep is not None and around is None:
+        chains = {c: ids for c, ids in g.chains.items() if c not in keep and ids[0] not in keep}
+    folded = {lid for ids in chains.values() for lid in ids}  # run by their conv
     acts = {}
     for layer in g.layers:
         if layer.kind == "input":
             acts[layer.id] = x
-        else:
+        elif layer.id not in folded:
             xs = [_resolve(acts, g, r) for r in layer.inputs]
-            run = partial(KINDS[layer.kind][0], layer, p, xs)
-            acts[layer.id] = run() if around is None else around(layer, xs, run)
+            target, run = layer.id, partial(KINDS[layer.kind][0], layer, p, xs)
+            if layer.id in chains:  # a folded conv stores its relu's output
+                bn, target = chains[layer.id]
+                run = partial(_conv_bn_relu, layer, p, p.bn[bn], xs)
+            acts[target] = run() if around is None else around(layer, xs, run)
             del xs, run  # they would hold the inputs dropped below
         if keep is not None:
             for lid in g.frees[layer.id]:
                 if lid not in keep:
-                    del acts[lid]
+                    acts.pop(lid, None)  # a folded conv or bn has no entry
     return acts
 
 

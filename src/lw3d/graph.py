@@ -96,14 +96,16 @@ class ModuleGraph:
         """The graph's one compile step: a single walk checks ids and
         references and records what every read reference resolves to
         (``ports``), every layer's output shape (``shapes``; a shape fault
-        raises ``ShapeError``) and when every activation is last read
-        (``frees``)."""
+        raises ``ShapeError``), when every activation is last read
+        (``frees``) and which convs an inference forward may fold with
+        their bn and relu (``chains``)."""
         self._by_id = {}
         self.ports: dict[str, tuple[str, slice]] = {}
         self.shapes: dict[str, Shape5] = {}
         # the last layer that reads each activation, or the layer itself
         # when none does
         last: dict[str, str] = {}
+        readers: dict[str, list[LayerSpec]] = {}  # every read of each activation
         for layer in self.layers:
             if layer.id in self._by_id:
                 raise ValueError(f"duplicate layer id {layer.id!r}")
@@ -115,6 +117,7 @@ class ModuleGraph:
                     raise ValueError(f"layer {layer.id!r}: {e}") from None
                 self.ports[ref] = base, channels
                 last[base] = layer.id
+                readers.setdefault(base, []).append(layer)
                 s = self.shapes[base]
                 ins.append(s._replace(c=len(range(s.c)[channels])))
             if layer.kind != "input" and not layer.inputs:
@@ -134,6 +137,16 @@ class ModuleGraph:
         for lid, reader in last.items():
             if lid != self.output_id:
                 self.frees[reader].append(lid)
+        # conv id -> (bn id, relu id) for each conv read only by a bn that is
+        # read only by a relu
+        self.chains: dict[str, tuple[str, str]] = {}
+        for layer in self.layers:
+            bn = readers.get(layer.id, [])
+            if layer.kind != "conv" or [r.kind for r in bn] != ["bn"]:
+                continue
+            relu = readers.get(bn[0].id, [])
+            if [r.kind for r in relu] == ["relu"]:
+                self.chains[layer.id] = (bn[0].id, relu[0].id)
 
     def layer(self, layer_id: str) -> LayerSpec:
         return self._by_id[layer_id]

@@ -9,7 +9,9 @@ The lowering never holds a whole patch matrix.  ``_time_tiles`` cuts the
 output time axis into tiles whose float64 workspace fits ``TILE_BYTES``
 (16 MB); each tile lowers only the input t-range it reads, multiplies and
 stores its output slice.  The forward and ``autodiff.conv3d_backward``
-share that plan.
+share that plan.  The forward pads only each tile's slab of the input, not
+the whole input, and frees a tile before it builds the next, so one tile's
+workspace is alive at a time.
 
 ``COMPUTE`` is the one owner of the accumulation dtype: patch matrices, avg
 pooling, batch norm, softmax and every gradient in ``autodiff`` use it.  The
@@ -185,6 +187,23 @@ def conv3d_direct(
     return Tensor5D(out)
 
 
+def _tile_slab(x: np.ndarray, xs: slice, padding: Triple) -> np.ndarray:
+    """The padded input t-range ``xs`` (in padded coordinates) of one tile:
+    the input steps it covers, with zeros only at the t-borders the range
+    crosses and at every h and w border.  A range that needs no zeros is a
+    view."""
+    pt, ph, pw = padding
+    n, c, t, h, w = x.shape
+    lo, hi = xs.start - pt, xs.stop - pt  # in input steps; may reach past either end
+    if lo >= 0 and hi <= t and ph == pw == 0:
+        return x[:, :, lo:hi]
+    slab = np.zeros((n, c, hi - lo, h + 2 * ph, w + 2 * pw), x.dtype)
+    a, b = max(lo, 0), min(hi, t)  # the steps that exist
+    if a < b:
+        slab[:, :, a - lo : b - lo, ph : ph + h, pw : pw + w] = x[:, :, a:b]
+    return slab
+
+
 def _im2col(xp: np.ndarray, kernel: Triple, out_dims: Triple, stride: Triple) -> np.ndarray:
     """(n, c*kvol, L) patch matrix from a padded input."""
     n, c = xp.shape[:2]
@@ -226,24 +245,27 @@ def conv3d_lowered(
     tag: str | None = None,
 ) -> Tensor5D:
     """Convolution by patch-matrix lowering and matrix multiply, one
-    ``_time_tiles`` tile at a time.  ``counter`` gains the call's MACs;
+    ``_time_tiles`` tile at a time, each lowered from its own padded slab
+    (``_tile_slab``).  ``counter`` gains the call's MACs;
     ``tag`` names the layer.  Only ``perfbench/tracer.py`` reads either."""
     out_shape = spec.output_shape(x.shape)
-    # cast once: a float32 weight is cast again by every tile's matmul
-    w = _check_weights(spec, weights).astype(COMPUTE)
-    xp = _pad_input(x.data, spec.padding)
+    # cast once: a float32 weight is cast again by every tile's matmul;
+    # COMPUTE weights (a folded conv's) are used as they are
+    w = np.asarray(_check_weights(spec, weights), dtype=COMPUTE)
     cg = spec.in_channels // spec.groups
     og = spec.out_channels // spec.groups
     out_dims = (out_shape.t, out_shape.h, out_shape.w)
     # per output site, the workspace is a patch-matrix column and its product
     tiles = _time_tiles(spec, out_dims, x.n * (cg * math.prod(spec.kernel) + og))
     out = np.empty(out_shape, dtype=np.float32)
-    for g in range(spec.groups):
-        cs, os_ = slice(g * cg, (g + 1) * cg), slice(g * og, (g + 1) * og)
-        wmat = w[os_].reshape(og, -1)
-        for ts, xs, dims in tiles:
-            cols = _im2col(xp[:, cs, xs], spec.kernel, dims, spec.stride)
-            out[:, os_, ts] = (wmat @ cols).reshape(x.n, og, *dims)
+    for ts, xs, dims in tiles:
+        slab = _tile_slab(x.data, xs, spec.padding)
+        for g in range(spec.groups):
+            cs, os_ = slice(g * cg, (g + 1) * cg), slice(g * og, (g + 1) * og)
+            cols = _im2col(slab[:, cs], spec.kernel, dims, spec.stride)
+            out[:, os_, ts] = (w[os_].reshape(og, -1) @ cols).reshape(x.n, og, *dims)
+            del cols  # freed before the next _im2col allocates
+        del slab
     if counter is not None:
         counter.macs += spec.macs(out_shape)
     return Tensor5D(out)
@@ -289,7 +311,11 @@ def pool3d(x: Tensor5D, spec: PoolSpec) -> Tensor5D:
 
 
 def batchnorm_infer(x: Tensor5D, gamma, beta, mean, var) -> Tensor5D:
-    """Frozen batch norm: y = gamma * (x - mean) / sqrt(var + BN_EPS) + beta."""
+    """Frozen batch norm: y = gamma * (x - mean) / sqrt(var + BN_EPS) + beta.
+
+    Training, ``autodiff.calibrate_init`` and the ``conv3d_direct`` oracle
+    run it; an inference forward folds each bn that follows a conv into
+    that conv's weights instead (``autodiff.forward``)."""
     gamma, beta, mean, var = (np.asarray(v, dtype=COMPUTE) for v in (gamma, beta, mean, var))
     if len(gamma) != x.c:
         raise ValueError(f"batch-norm has {len(gamma)} channels, input has {x.c}")

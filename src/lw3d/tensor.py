@@ -41,7 +41,10 @@ class Tensor5D:
 
     ``data`` is a C-contiguous ndarray of shape (n, c, t, h, w); element
     (n, c, t, h, w) lives at flat index ((((n*C + c)*T + t)*H + h)*W + w.
-    Callers must not mutate ``data`` after construction.
+    Callers must not mutate ``data`` after construction.  The one exception
+    is ``autodiff.forward``'s folded conv -> bn -> relu, which adds the bn
+    shift and applies the relu in place on the conv's fresh output before
+    any other code reads it.
     """
 
     data: np.ndarray

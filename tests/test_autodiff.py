@@ -903,6 +903,85 @@ class TestLiveness:
         assert list(forward(dead, p, x, keep={"sp", "a"})) == ["sp", "a", "out"]
 
 
+def count_calls(monkeypatch, targets):
+    """Spy on each (module, name): a list of every call's args and kwargs."""
+    calls = {name: [] for _, name in targets}
+    for mod, name in targets:
+
+        def spy(*args, _real=getattr(mod, name), _name=name, **kwargs):
+            calls[_name].append((args, kwargs))
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(mod, name, spy)
+    return calls
+
+
+class TestFoldedInference:
+    """A forward that keeps only the output folds each conv -> bn -> relu
+    into one conv; training and calibration run every layer."""
+
+    # fused against unfused calibrated scores on these inputs measured at
+    # most 5.1e-5 (ist; i3d 1.7e-6, sst 3.6e-5, gsst 3.0e-5).  The two paths
+    # round float32 activations differently by about 1 ulp, and the toy
+    # networks amplify that about 1e3-fold through depth.
+    SCORE_TOL = 1e-4
+
+    @staticmethod
+    def calibrated(arch):
+        g = toy_net(arch)
+        p = init_params(g, 0)
+        clips = Tensor5D(np.concatenate([x.data for x, _ in toy_dataset(8)]))
+        calibrate_init(g, p, clips)
+        return g, p, clips
+
+    @pytest.mark.parametrize("arch", ARCHS)
+    def test_fused_scores_match_unfused(self, arch):
+        g, p, clips = self.calibrated(arch)
+        fused = predict_scores(g, forward(g, p, clips, keep={g.output_id}))
+        plain = predict_scores(g, forward(g, p, clips))
+        assert 0.01 < plain.min() and plain.max() < 0.99  # not saturated
+        assert np.abs(fused - plain).max() <= self.SCORE_TOL
+
+    @pytest.mark.parametrize("arch", ARCHS)
+    def test_fused_forward_runs_one_conv_per_conv_and_no_bn_or_relu(self, arch, monkeypatch):
+        g, p, clips = self.calibrated(arch)
+        assert len(g.chains) == sum(layer.kind == "conv" for layer in g.layers) - 1
+        calls = count_calls(
+            monkeypatch, [(ops, "conv3d_lowered"), (ops, "batchnorm_infer"), (tensor, "relu")]
+        )
+        forward(g, p, clips, keep={g.output_id})
+        assert calls["batchnorm_infer"] == [] and calls["relu"] == []
+        assert [kw["tag"] for _, kw in calls["conv3d_lowered"]] == [
+            layer.id for layer in g.layers if layer.kind == "conv"
+        ]
+
+    @pytest.mark.parametrize("arch", ARCHS)
+    def test_training_and_calibration_run_every_bn(self, arch, monkeypatch):
+        g = toy_net(arch)
+        p = init_params(g, 0)
+        x = Tensor5D(np.ones(TOY_SHAPE, np.float32))
+        bns = sum(layer.kind == "bn" for layer in g.layers)
+        calls = count_calls(monkeypatch, [(ops, "batchnorm_infer")])
+        calibrate_init(g, p, x)
+        assert len(calls["batchnorm_infer"]) == bns
+        forward(g, p, x)
+        assert len(calls["batchnorm_infer"]) == 2 * bns
+
+    def test_a_kept_conv_or_bn_stays_unfused(self, monkeypatch):
+        g, p, clips = self.calibrated("gsst")
+        conv, (bn, relu) = next(iter(g.chains.items()))
+        plain = forward(g, p, clips)
+        calls = count_calls(monkeypatch, [(ops, "batchnorm_infer"), (tensor, "relu")])
+        for kept in (conv, bn):
+            acts = forward(g, p, clips, keep={kept, g.output_id})
+            assert acts[kept].data.tobytes() == plain[kept].data.tobytes()
+        assert len(calls["batchnorm_infer"]) == len(calls["relu"]) == 2
+        # a kept relu is the fused chain's output
+        acts = forward(g, p, clips, keep={relu, g.output_id})
+        assert len(calls["relu"]) == 2
+        np.testing.assert_allclose(acts[relu].data, plain[relu].data, rtol=1e-6, atol=1e-6)
+
+
 class TestCompiledGraph:
     """``ModuleGraph`` resolves every port and infers every shape once, when
     it is built; execution and analysis read those tables."""

@@ -20,7 +20,7 @@ from lw3d.graph import (
     parse_shape_arg,
     shuffle_group_count,
 )
-from lw3d.ops import PoolSpec
+from lw3d.ops import Conv3DSpec, PoolSpec
 from lw3d.tensor import Shape5
 
 CANONICAL = Shape5(1, 3, 32, 224, 224)
@@ -214,6 +214,31 @@ class TestBuildNetwork:
         for bad in ("sp:3", "sp:x", "input:0"):
             with pytest.raises(ValueError, match="names no port"):
                 g.port(bad)
+
+    @pytest.mark.parametrize("arch", ARCHS)
+    def test_every_conv_but_the_classifier_chains_into_bn_and_relu(self, arch):
+        g = build_network(arch, CANONICAL)
+        convs = [layer.id for layer in g.layers if layer.kind == "conv"]
+        assert len(convs) == (58 if arch == "i3d" else 78)
+        assert g.chains == {c: (c + ".bn", c + ".relu") for c in convs if c != "classifier"}
+
+    def test_chain_needs_one_bn_reader_and_one_relu_reader(self):
+        def net(*tail):
+            return ModuleGraph(
+                [
+                    LayerSpec("in", "input", Shape5(1, 2, 1, 1, 1)),
+                    LayerSpec("c", "conv", Conv3DSpec(2, 2, (1, 1, 1)), ["in"]),
+                    LayerSpec("b", "bn", 2, ["c"]),
+                    LayerSpec("r", "relu", None, ["b"]),
+                    *tail,
+                ],
+                "i3d",
+            )
+
+        assert net().chains == {"c": ("b", "r")}
+        assert net(LayerSpec("r2", "relu", None, ["c"])).chains == {}
+        assert net(LayerSpec("r2", "relu", None, ["b"])).chains == {}
+        assert net(LayerSpec("cat", "concat", None, ["r", "b"])).chains == {}
 
     def test_rejects_zero_channel_input(self):
         with pytest.raises(ValueError, match="^input must have at least one channel$"):
