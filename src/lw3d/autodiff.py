@@ -34,40 +34,35 @@ def conv3d_backward(
     Both are 2-D GEMMs against one clip's patch matrix, one
     ``ops._time_tiles`` tile at a time: ``gw`` accumulates each tile's
     ``gmat @ cols.T`` and each tile's ``gcols`` is added into the input
-    t-range it came from, so only one tile's ``cols`` and ``gcols`` are
-    alive at once."""
+    steps it came from.  A tile's ``cols`` is freed before its ``gcols``
+    exists, and its ``gcols`` before the next tile's ``cols``."""
     out_shape = spec.output_shape(x.shape)
     # cast once here: a float32 weight is cast again by every per-clip matmul,
     # which made the train-dense conv backwards 6% slower
     w = np.asarray(weights, dtype=COMPUTE)
     g = np.asarray(gout, dtype=COMPUTE).reshape(out_shape)
-    xp = ops._pad_input(x.data, spec.padding)
     cg = spec.in_channels // spec.groups
     og = spec.out_channels // spec.groups
-    out_dims = (out_shape.t, out_shape.h, out_shape.w)
     kcols = cg * math.prod(spec.kernel)
-    # per output site, the workspace is a column of cols and of gcols and a
-    # gmat copy
-    tiles = ops._time_tiles(spec, out_dims, 2 * kcols + og)
-    gxp = np.zeros(xp.shape, COMPUTE)
+    # sized for a column of cols and of gcols and a gmat copy per output site,
+    # though cols is freed before gcols exists: longer tiles would regroup the
+    # gw and gx sums and change the pinned training runs' rounding
+    tiles = ops._time_tiles(spec, x.shape, 2 * kcols + og)
+    gx = np.zeros(x.shape, COMPUTE)
     gw = np.zeros((spec.out_channels, kcols), COMPUTE)
     for gi in range(spec.groups):
         cs, os_ = slice(gi * cg, (gi + 1) * cg), slice(gi * og, (gi + 1) * og)
         wmat = w[os_].reshape(og, -1)
         for i in range(x.n):
-            for ts, xs, dims in tiles:
-                cols = ops._im2col(xp[i : i + 1, cs, xs], spec.kernel, dims, spec.stride)[0]
-                gmat = g[i, os_, ts].reshape(og, -1)
+            for plan in tiles:
+                cols = ops._im2col(x.data[i : i + 1, cs], plan)[0]
+                gmat = g[i, os_, plan.ts].reshape(og, -1)
                 gw[os_] += gmat @ cols.T
-                gcols = (wmat.T @ gmat).reshape(1, cg, -1, *dims)
-                ops._col2im(
-                    gxp[i : i + 1, cs, xs], lambda k: gcols[:, :, k], spec.kernel, dims, spec.stride
-                )
-    return _unpad(gxp, spec.padding), gw.reshape(w.shape)
-
-
-def _unpad(xp: np.ndarray, padding) -> np.ndarray:
-    return xp[(..., *(slice(p, -p or None) for p in padding))]
+                del cols
+                gcols = (wmat.T @ gmat).reshape(1, cg, -1, *plan.dims)
+                ops._col2im(gx[i : i + 1, cs], plan, lambda k, r: gcols[:, :, k][r])
+                del gcols
+    return gx, gw.reshape(w.shape)
 
 
 def pool3d_backward(x: Tensor5D, spec: PoolSpec, gout: np.ndarray) -> np.ndarray:
@@ -75,26 +70,23 @@ def pool3d_backward(x: Tensor5D, spec: PoolSpec, gout: np.ndarray) -> np.ndarray
     in layout order; average pooling spreads it over the full kernel volume."""
     out_shape = spec.output_shape(x.shape)
     g = np.asarray(gout, dtype=COMPUTE).reshape(out_shape)
-    out_dims = (out_shape.t, out_shape.h, out_shape.w)
-    xp = ops._pad_input(x.data, spec.padding, value=-np.inf)
-    gxp = np.zeros(xp.shape, COMPUTE)
+    plan = ops._tap_plan(spec, x.shape[2:], 0, out_shape.t)
+    gx = np.zeros(x.shape, COMPUTE)
     if spec.kind == "avg":
         share = g / math.prod(spec.kernel)
-        ops._col2im(gxp, lambda k: share, spec.kernel, out_dims, spec.stride)
-        return _unpad(gxp, spec.padding)
-    best = np.full(out_shape, -np.inf, dtype=xp.dtype)
+        ops._col2im(gx, plan, lambda k, r: share[r])
+        return gx
+    best = np.full(out_shape, -np.inf, dtype=x.data.dtype)
     # the smallest unsigned dtype that holds every tap index
     best_k = np.zeros(out_shape, dtype=np.min_scalar_type(math.prod(spec.kernel) - 1))
     mask = np.empty(out_shape, dtype=bool)
-    for k, tap in enumerate(ops._taps(spec.kernel)):
-        view = ops._offset_view(xp, tap, out_dims, spec.stride)
-        np.greater(view, best, out=mask)  # strict: an equal later tap never wins
-        np.copyto(best, view, where=mask)
-        np.copyto(best_k, k, where=mask)
-    ops._col2im(
-        gxp, lambda k: np.where(best_k == k, g, 0.0), spec.kernel, out_dims, spec.stride
-    )
-    return _unpad(gxp, spec.padding)
+    for k, region, source in plan.taps:
+        view, m, b = x.data[source], mask[region], best[region]
+        np.greater(view, b, out=m)  # strict: an equal later tap never wins
+        np.copyto(b, view, where=m)
+        np.copyto(best_k[region], k, where=m)
+    ops._col2im(gx, plan, lambda k, r: np.where(best_k[r] == k, g[r], 0.0))
+    return gx
 
 
 def relu_backward(x: Tensor5D, gout: np.ndarray) -> np.ndarray:

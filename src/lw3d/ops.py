@@ -5,13 +5,17 @@ contracts: ``conv3d_direct`` accumulates shifted input slices per kernel
 offset, ``conv3d_lowered`` builds a patch matrix and multiplies.  Their
 outputs agree to well under 1e-4, so each serves as an oracle for the other.
 
+No op copies its input padded.  ``_tap_plan`` clips each kernel tap to the
+output sites whose inputs exist and gives the strided view of the unpadded
+input they read; every conv and pool, forward and backward, works from it.
+Padded taps read zeros in the patch matrix, are skipped by pooling and get
+no gradient.
+
 The lowering never holds a whole patch matrix.  ``_time_tiles`` cuts the
 output time axis into tiles whose float64 workspace fits ``TILE_BYTES``
-(16 MB); each tile lowers only the input t-range it reads, multiplies and
+(16 MB); each tile lowers only the input steps it reads, multiplies and
 stores its output slice.  The forward and ``autodiff.conv3d_backward``
-share that plan.  The forward pads only each tile's slab of the input, not
-the whole input, and frees a tile before it builds the next, so one tile's
-workspace is alive at a time.
+share that plan, and each frees a tile's arrays before it builds the next.
 
 ``COMPUTE`` is the one owner of the accumulation dtype: patch matrices, avg
 pooling, batch norm, softmax and every gradient in ``autodiff`` use it.  The
@@ -21,9 +25,11 @@ every other cast.  Only the oracle ``conv3d_direct`` names its own dtype.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -110,6 +116,10 @@ class PoolSpec:
         if self.kind not in ("max", "avg"):
             raise ValueError(f"unknown pool kind {self.kind!r}")
         _check_window(self)
+        # so that every window holds at least one input
+        for axis, k, p in zip("thw", self.kernel, self.padding):
+            if p >= k:
+                raise ValueError(f"pool padding {p} on axis {axis} is not below its kernel {k}")
 
     def output_shape(self, x: Shape5) -> Shape5:
         return Shape5(x.n, x.c, *_window_dims(self, x, "pool"))
@@ -127,38 +137,54 @@ class MacCounter:
     macs: int = 0
 
 
-def _pad_input(x: np.ndarray, padding: Triple, value: float = 0.0) -> np.ndarray:
-    pt, ph, pw = padding
-    if pt == ph == pw == 0:
-        return x
-    return np.pad(
-        x,
-        ((0, 0), (0, 0), (pt, pt), (ph, ph), (pw, pw)),
-        mode="constant",
-        constant_values=value,
-    )
+class TapPlan(NamedTuple):
+    """Where a window's taps read an unpadded input, for the output steps
+    ``ts`` (extent ``dims``).  ``taps`` holds ``(k, region, source)`` for
+    each tap, in layout order, that reads any input: ``region`` indexes the
+    output sites whose inputs exist and ``source`` the strided input view
+    they read, both over the trailing (t, h, w) axes.  Every other site of a
+    tap is padding.  ``strips`` indexes, in the patch matrix's
+    ``(n, c, kt, kh, kw, t, h, w)`` view, the padding sites of each kernel
+    offset on each axis, shared by all the taps with that offset."""
+
+    ts: slice
+    dims: Triple
+    kernel: Triple
+    taps: tuple
+    strips: tuple
 
 
-def _taps(kernel: Triple):
-    """Kernel offsets in layout order: the row order of ``_im2col`` and the
-    order in which max-pool ties break."""
-    return itertools.product(*map(range, kernel))
-
-
-def _offset_view(
-    xp: np.ndarray, offset: Triple, out_dims: Triple, stride: Triple
-) -> np.ndarray:
-    """Strided view of the padded input aligned to one kernel offset."""
-    dt, dh, dw = offset
-    ot, oh, ow = out_dims
-    st, sh, sw = stride
-    return xp[
-        :,
-        :,
-        dt : dt + ot * st : st,
-        dh : dh + oh * sh : sh,
-        dw : dw + ow * sw : sw,
-    ]
+@functools.lru_cache(maxsize=1024)
+def _tap_plan(window, x_dims: Triple, t0: int, t1: int) -> TapPlan:
+    """The ``TapPlan`` of a conv or pool window over an input of extent
+    ``x_dims``, for output time steps ``t0`` to ``t1``."""
+    # per axis and kernel offset: the output sites whose input o*st + d - p
+    # lies in [0, s), relative to the tile, and the input steps they read
+    axes, dims = [], []
+    for a, (s, p, k, st) in enumerate(zip(x_dims, window.padding, window.kernel, window.stride)):
+        o0, o1 = (t0, t1) if a == 0 else (0, (s + 2 * p - k) // st + 1)
+        dims.append(o1 - o0)
+        offsets = []
+        for d in range(k):
+            lo = min(max(o0, -((d - p) // st)), o1)
+            hi = max(min(o1, (s - 1 + p - d) // st + 1), lo)
+            i0 = lo * st + d - p
+            offsets.append((slice(lo - o0, hi - o0), slice(i0, i0 + (hi - lo) * st, st)))
+        axes.append(offsets)
+    taps = []
+    for k, parts in enumerate(itertools.product(*axes)):
+        region, source = zip(*parts)
+        if all(r.start < r.stop for r in region):
+            taps.append((k, (..., *region), (..., *source)))
+    strips = []
+    for a, offsets in enumerate(axes):
+        for d, (r, _) in enumerate(offsets):
+            for pad in (slice(0, r.start), slice(r.stop, dims[a])):
+                if pad.start < pad.stop:
+                    index = [slice(None)] * 6
+                    index[a], index[3 + a] = d, pad
+                    strips.append((..., *index))
+    return TapPlan(slice(t0, t1), tuple(dims), window.kernel, tuple(taps), tuple(strips))
 
 
 def conv3d_direct(
@@ -172,69 +198,50 @@ def conv3d_direct(
     at its call in ``autodiff.KINDS``."""
     out_shape = spec.output_shape(x.shape)
     w = _check_weights(spec, weights)
-    xp = _pad_input(x.data.astype(np.float64), spec.padding)
+    plan = _tap_plan(spec, x.shape[2:], 0, out_shape.t)
+    xd = x.data.astype(np.float64)
     cg = spec.in_channels // spec.groups
     og = spec.out_channels // spec.groups
-    out_dims = (out_shape.t, out_shape.h, out_shape.w)
     out = np.zeros(out_shape, dtype=np.float64)
     for g in range(spec.groups):
-        xg = xp[:, g * cg : (g + 1) * cg]
-        wg = w[g * og : (g + 1) * og].astype(np.float64)
+        xg = xd[:, g * cg : (g + 1) * cg]
+        wg = w[g * og : (g + 1) * og].astype(np.float64).reshape(og, cg, -1)
         acc = out[:, g * og : (g + 1) * og]
-        for tap in _taps(spec.kernel):
-            view = _offset_view(xg, tap, out_dims, spec.stride)
-            acc += np.einsum("oc,ncthw->nothw", wg[(..., *tap)], view)
+        for k, region, source in plan.taps:
+            acc[region] += np.einsum("oc,ncthw->nothw", wg[:, :, k], xg[source])
     return Tensor5D(out)
 
 
-def _tile_slab(x: np.ndarray, xs: slice, padding: Triple) -> np.ndarray:
-    """The padded input t-range ``xs`` (in padded coordinates) of one tile:
-    the input steps it covers, with zeros only at the t-borders the range
-    crosses and at every h and w border.  A range that needs no zeros is a
-    view."""
-    pt, ph, pw = padding
-    n, c, t, h, w = x.shape
-    lo, hi = xs.start - pt, xs.stop - pt  # in input steps; may reach past either end
-    if lo >= 0 and hi <= t and ph == pw == 0:
-        return x[:, :, lo:hi]
-    slab = np.zeros((n, c, hi - lo, h + 2 * ph, w + 2 * pw), x.dtype)
-    a, b = max(lo, 0), min(hi, t)  # the steps that exist
-    if a < b:
-        slab[:, :, a - lo : b - lo, ph : ph + h, pw : pw + w] = x[:, :, a:b]
-    return slab
+def _im2col(x: np.ndarray, plan: TapPlan) -> np.ndarray:
+    """(n, c*kvol, L) patch matrix of one ``plan`` tile of the unpadded input
+    ``x``: each tap's region is copied from its view, and each offset's
+    padding strips are zeroed once, for all the taps that share it."""
+    n, c = x.shape[:2]
+    cols = np.empty((n, c, *plan.kernel, *plan.dims), dtype=COMPUTE)
+    flat = cols.reshape(n, c, -1, *plan.dims)
+    for k, region, source in plan.taps:
+        flat[:, :, k][region] = x[source]
+    for strip in plan.strips:
+        cols[strip] = 0.0
+    return flat.reshape(n, -1, math.prod(plan.dims))
 
 
-def _im2col(xp: np.ndarray, kernel: Triple, out_dims: Triple, stride: Triple) -> np.ndarray:
-    """(n, c*kvol, L) patch matrix from a padded input."""
-    n, c = xp.shape[:2]
-    kvol = math.prod(kernel)
-    cols = np.empty((n, c, kvol, *out_dims), dtype=COMPUTE)
-    for k, tap in enumerate(_taps(kernel)):
-        cols[:, :, k] = _offset_view(xp, tap, out_dims, stride)
-    return cols.reshape(n, c * kvol, math.prod(out_dims))
+def _col2im(gx: np.ndarray, plan: TapPlan, part):
+    """Transpose of ``_im2col``: add ``part(k, region)``, the k-th tap's
+    gradient at the sites of ``region``, into the unpadded input gradient
+    ``gx`` in place.  Padding sites get nothing."""
+    for k, region, source in plan.taps:
+        gx[source] += part(k, region)
 
 
-def _col2im(gxp: np.ndarray, part, kernel: Triple, out_dims: Triple, stride: Triple):
-    """Transpose of ``_im2col``: add ``part(k)``, the gradient slice of the
-    k-th tap, into the padded input gradient ``gxp`` in place."""
-    for k, tap in enumerate(_taps(kernel)):
-        _offset_view(gxp, tap, out_dims, stride)[...] += part(k)
-
-
-def _time_tiles(spec: Conv3DSpec, out_dims: Triple, per_site: int) -> list:
-    """The conv lowering's tile plan: ``(ts, xs, dims)`` per tile, where
-    ``ts`` slices the output t-axis, ``xs`` the padded input t-range those
-    steps read and ``dims`` is the tile's output extent.  A tile takes as
-    many steps as keep a workspace of ``per_site`` COMPUTE values per
-    output site within ``TILE_BYTES``, and at least one."""
-    ot, oh, ow = out_dims
-    kt, st = spec.kernel[0], spec.stride[0]
+def _time_tiles(spec: Conv3DSpec, x: Shape5, per_site: int) -> list[TapPlan]:
+    """The conv lowering's tile plan: the ``TapPlan`` of each run of output
+    time steps.  A tile takes as many steps as keep a workspace of
+    ``per_site`` COMPUTE values per output site within ``TILE_BYTES``, and
+    at least one."""
+    ot, oh, ow = _window_dims(spec, x, "conv")
     step = max(1, TILE_BYTES // (per_site * oh * ow * np.dtype(COMPUTE).itemsize))
-    tiles = []
-    for t0 in range(0, ot, step):
-        t1 = min(t0 + step, ot)
-        tiles.append((slice(t0, t1), slice(t0 * st, (t1 - 1) * st + kt), (t1 - t0, oh, ow)))
-    return tiles
+    return [_tap_plan(spec, x[2:], t0, min(t0 + step, ot)) for t0 in range(0, ot, step)]
 
 
 def conv3d_lowered(
@@ -245,8 +252,7 @@ def conv3d_lowered(
     tag: str | None = None,
 ) -> Tensor5D:
     """Convolution by patch-matrix lowering and matrix multiply, one
-    ``_time_tiles`` tile at a time, each lowered from its own padded slab
-    (``_tile_slab``).  ``counter`` gains the call's MACs;
+    ``_time_tiles`` tile at a time.  ``counter`` gains the call's MACs;
     ``tag`` names the layer.  Only ``perfbench/tracer.py`` reads either."""
     out_shape = spec.output_shape(x.shape)
     # cast once: a float32 weight is cast again by every tile's matmul;
@@ -254,18 +260,15 @@ def conv3d_lowered(
     w = np.asarray(_check_weights(spec, weights), dtype=COMPUTE)
     cg = spec.in_channels // spec.groups
     og = spec.out_channels // spec.groups
-    out_dims = (out_shape.t, out_shape.h, out_shape.w)
     # per output site, the workspace is a patch-matrix column and its product
-    tiles = _time_tiles(spec, out_dims, x.n * (cg * math.prod(spec.kernel) + og))
+    tiles = _time_tiles(spec, x.shape, x.n * (cg * math.prod(spec.kernel) + og))
     out = np.empty(out_shape, dtype=np.float32)
-    for ts, xs, dims in tiles:
-        slab = _tile_slab(x.data, xs, spec.padding)
+    for plan in tiles:
         for g in range(spec.groups):
             cs, os_ = slice(g * cg, (g + 1) * cg), slice(g * og, (g + 1) * og)
-            cols = _im2col(slab[:, cs], spec.kernel, dims, spec.stride)
-            out[:, os_, ts] = (w[os_].reshape(og, -1) @ cols).reshape(x.n, og, *dims)
+            cols = _im2col(x.data[:, cs], plan)
+            out[:, os_, plan.ts] = (w[os_].reshape(og, -1) @ cols).reshape(x.n, og, *plan.dims)
             del cols  # freed before the next _im2col allocates
-        del slab
     if counter is not None:
         counter.macs += spec.macs(out_shape)
     return Tensor5D(out)
@@ -293,18 +296,17 @@ def channel_shuffle(x: Tensor5D, groups: int) -> Tensor5D:
 
 
 def pool3d(x: Tensor5D, spec: PoolSpec) -> Tensor5D:
-    """Max pooling pads with -inf; average pooling pads with zeros and always
-    divides by the full kernel volume."""
+    """Max pooling ignores padding; average pooling counts it as zeros and
+    always divides by the full kernel volume."""
     out_shape = spec.output_shape(x.shape)
-    out_dims = (out_shape.t, out_shape.h, out_shape.w)
     if spec.kind == "max":
         fill, reduce, dtype = -np.inf, np.maximum, np.float32
     else:
         fill, reduce, dtype = 0.0, np.add, COMPUTE
-    xp = _pad_input(x.data, spec.padding, value=fill)
     out = np.full(out_shape, fill, dtype=dtype)
-    for tap in _taps(spec.kernel):
-        reduce(out, _offset_view(xp, tap, out_dims, spec.stride), out=out)
+    for _, region, source in _tap_plan(spec, x.shape[2:], 0, out_shape.t).taps:
+        acc = out[region]
+        reduce(acc, x.data[source], out=acc)
     if spec.kind == "avg":
         out /= math.prod(spec.kernel)
     return Tensor5D(out)

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import importlib.util
 import io
+import math
 import struct
 import sys
 import tracemalloc
@@ -87,7 +88,7 @@ def first_max_pool_backward(x: np.ndarray, spec: PoolSpec, gout: np.ndarray) -> 
         window = tuple(slice(a, a + k) for a, k in zip(corner, spec.kernel))
         tap = np.unravel_index(np.argmax(xp[(n, c, *window)]), spec.kernel)
         gxp[(n, c, *(a + t for a, t in zip(corner, tap)))] += gout[(n, c, *o)]
-    return autodiff._unpad(gxp, spec.padding)
+    return gxp[(..., *(slice(p, p + s) for p, s in zip(spec.padding, x.shape[2:])))]
 
 
 DTYPE_X = Tensor5D(np.random.default_rng(1).standard_normal((2, 4, 3, 4, 4)))
@@ -337,6 +338,34 @@ class TestBenchmarkHooks:
         assert checked == sum(
             layer.kind == "conv" for g in [probed, *graphs] for layer in g.layers
         )
+
+    def test_tracer_counts_the_patch_bytes_the_shapes_imply(self, monkeypatch):
+        """Over one forward of each arch, each conv class's ``im2col_bytes``
+        is the float64 patch matrices its convs' shapes imply, one per group
+        and tile: batch x c/groups x kernel volume x output sites x 8 per
+        group."""
+        tracer_mod = load_perfbench("tracer", monkeypatch)
+        for name in tracer_mod.MODULES:
+            importlib.import_module("lw3d." + name)
+        graphs = [toy_net(arch) for arch in ARCHS]
+        tracer = tracer_mod.Tracer()
+        tracer.install()
+        try:
+            for g in graphs:
+                autodiff.forward(g, init_params(g, 0), Tensor5D(np.ones(TOY_SHAPE, np.float32)))
+        finally:
+            tracer.uninstall()
+        want = dict.fromkeys(tracer_mod.CONV_CLASSES, 0)
+        for g in graphs:
+            for layer in g.layers:
+                if layer.kind == "conv":
+                    spec, out = layer.params, g.shapes[layer.id]
+                    per_group = out.n * (spec.in_channels // spec.groups) * math.prod(spec.kernel)
+                    want[tracer_mod.conv_class(spec.kernel)] += (
+                        spec.groups * per_group * out.t * out.h * out.w * 8
+                    )
+        assert all(want.values())
+        assert {c: tracer.counts[f"ops.conv_fwd.{c}.im2col_bytes"] for c in want} == want
 
     def test_tracer_sees_one_sgd_step_per_tensor_inside_backward(self, monkeypatch):
         """``train_toy`` builds its step from ``autodiff.sgd_step`` when it

@@ -1,7 +1,11 @@
+import itertools
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lw3d import autodiff, ops, tensor
 from lw3d.ops import BN_EPS, Conv3DSpec, MacCounter, PoolSpec
@@ -49,6 +53,16 @@ def conv3d_bruteforce(x: Tensor5D, spec: Conv3DSpec, w: np.ndarray) -> np.ndarra
                                         )
                         y[n, o, t, h, ww] = acc
     return y
+
+
+def traced_peak(run):
+    """``run()``'s result and the peak bytes ``tracemalloc`` saw it hold."""
+    tracemalloc.start()
+    try:
+        result = run()
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
 
 
 def random_spec(rng, groups=None):
@@ -222,10 +236,10 @@ class TestTiledLowering:
         real = ops._time_tiles
         per_site, plans = [], []
 
-        def spy(spec, out_dims, values):
-            plan = real(spec, out_dims, values)
+        def spy(spec, x, values):
+            plan = real(spec, x, values)
             per_site.append(values)
-            plans.append([dims[0] for _, _, dims in plan])
+            plans.append([tile.dims[0] for tile in plan])
             return plan
 
         monkeypatch.setattr(ops, "_time_tiles", spy)
@@ -282,11 +296,11 @@ class TestTiledLowering:
         assert abs(float((gw * w).sum()) - ref) <= 1e-4 * scale
 
     def test_workspace_stays_within_the_budget(self, monkeypatch):
-        """Peak traced memory of one forward call stays under its output, one
-        tile's padded input slab and one budget, and of one backward call
-        under its arrays plus two budgets, while the whole patch matrix is
-        over four budgets.  Building the matrix whole, or keeping one tile
-        alive while the next is built, fails this."""
+        """Peak traced memory of one forward call stays under its output and
+        one budget, and of one backward call under its arrays and one budget,
+        while the whole patch matrix is over four budgets.  Building the
+        matrix whole, or a padded copy of the input or of its gradient,
+        fails this."""
         monkeypatch.setattr(ops, "TILE_BYTES", 2**20)
         rng = np.random.default_rng(3)
         spec = Conv3DSpec(8, 8, (3, 3, 3), padding=(1, 1, 1))
@@ -295,26 +309,156 @@ class TestTiledLowering:
         out = spec.output_shape(x.shape)
         patch_bytes = out.size // out.c * 8 * 27 * np.dtype(ops.COMPUTE).itemsize
         assert patch_bytes >= 4 * ops.TILE_BYTES
-        padded = Shape5(1, 8, 18, 18, 18).size
         gout = rng.standard_normal(tuple(out))
 
-        def peak(run):
-            tracemalloc.start()
-            try:
-                result = run()
-                return tracemalloc.get_traced_memory()[1], result
-            finally:
-                tracemalloc.stop()
+        used, y = traced_peak(lambda: ops.conv3d_lowered(x, spec, w))
+        assert used < y.data.nbytes + ops.TILE_BYTES
+        used, (gx, gw) = traced_peak(lambda: autodiff.conv3d_backward(x, spec, w, gout))
+        assert gx.shape == x.shape
+        assert used < gout.nbytes + gx.nbytes + gw.nbytes + ops.TILE_BYTES
 
-        used, y = peak(lambda: ops.conv3d_lowered(x, spec, w))
-        # the padded input steps one tile reads, by the plan conv3d_lowered
-        # makes (a patch column and its product per output site)
-        plan = ops._time_tiles(spec, (out.t, out.h, out.w), 8 * 27 + 8)
-        slab = Shape5(1, 8, max(xs.stop - xs.start for _, xs, _ in plan), 18, 18).size * 4
-        assert used < y.data.nbytes + slab + ops.TILE_BYTES
-        used, (gx, gw) = peak(lambda: autodiff.conv3d_backward(x, spec, w, gout))
-        grads = padded * gx.itemsize + gw.nbytes
-        assert used < gout.nbytes + padded * 4 + grads + 2 * ops.TILE_BYTES
+
+def padded(a: np.ndarray, padding, value=0.0) -> np.ndarray:
+    return np.pad(a, [(0, 0), (0, 0), *((p, p) for p in padding)], constant_values=value)
+
+
+def tap_views(ap: np.ndarray, window, t0: int, dims):
+    """Per kernel tap in layout order, the strided view of the padded array
+    ``ap`` that output steps ``t0`` on (extent ``dims``) read."""
+    return [
+        ap[(..., *(slice(d + o * s, d + (o + n) * s, s)
+                   for d, o, n, s in zip(tap, (t0, 0, 0), dims, window.stride)))]
+        for tap in itertools.product(*map(range, window.kernel))
+    ]
+
+
+def padded_cols(ap: np.ndarray, spec: Conv3DSpec, tile) -> np.ndarray:
+    """The patch matrix of one ``ops._time_tiles`` tile of the padded ``ap``."""
+    views = tap_views(ap, spec, tile.ts.start, tile.dims)
+    return np.stack(views, axis=2).astype(ops.COMPUTE).reshape(len(ap), -1, math.prod(tile.dims))
+
+
+def padded_conv(x: np.ndarray, spec: Conv3DSpec, w: np.ndarray) -> np.ndarray:
+    """The lowering on a whole padded copy of the input, over the tiles
+    ``ops._time_tiles`` cuts."""
+    cg, og = spec.in_channels // spec.groups, spec.out_channels // spec.groups
+    w = w.astype(ops.COMPUTE)
+    xp = padded(x, spec.padding)
+    n, shape = x.shape[0], Shape5(*x.shape)
+    y = np.empty(spec.output_shape(shape), np.float32)
+    for tile in ops._time_tiles(spec, shape, n * (cg * math.prod(spec.kernel) + og)):
+        for g in range(spec.groups):
+            cs, os_ = slice(g * cg, (g + 1) * cg), slice(g * og, (g + 1) * og)
+            cols = padded_cols(xp[:, cs], spec, tile)
+            y[:, os_, tile.ts] = (w[os_].reshape(og, -1) @ cols).reshape(n, og, *tile.dims)
+    return y
+
+
+def padded_conv_backward(x, spec, w, gout):
+    cg, og = spec.in_channels // spec.groups, spec.out_channels // spec.groups
+    kcols = cg * math.prod(spec.kernel)
+    w = w.astype(ops.COMPUTE)
+    xp = padded(x, spec.padding)
+    gxp = np.zeros(xp.shape)
+    gw = np.zeros((spec.out_channels, kcols))
+    for g in range(spec.groups):
+        cs, os_ = slice(g * cg, (g + 1) * cg), slice(g * og, (g + 1) * og)
+        for i in range(x.shape[0]):
+            for tile in ops._time_tiles(spec, Shape5(*x.shape), 2 * kcols + og):
+                cols = padded_cols(xp[i : i + 1, cs], spec, tile)[0]
+                gmat = gout[i, os_, tile.ts].reshape(og, -1)
+                gw[os_] += gmat @ cols.T
+                gcols = (w[os_].reshape(og, -1).T @ gmat).reshape(cg, -1, *tile.dims)
+                for k, view in enumerate(tap_views(gxp[i, cs], spec, tile.ts.start, tile.dims)):
+                    view += gcols[:, k]
+    return unpadded(gxp, spec.padding, x.shape), gw.reshape(spec.weight_shape)
+
+
+def unpadded(ap: np.ndarray, padding, shape) -> np.ndarray:
+    return ap[(..., *(slice(p, p + s) for p, s in zip(padding, shape[2:])))]
+
+
+def padded_pool(x: np.ndarray, spec: PoolSpec, gout: np.ndarray):
+    """Pooling forward and backward on a whole padded copy of the input."""
+    out = spec.output_shape(Shape5(*x.shape))
+    dims = (out.t, out.h, out.w)
+    fill = -np.inf if spec.kind == "max" else 0.0
+    xp = padded(x, spec.padding, fill)
+    views = tap_views(xp, spec, 0, dims)
+    gxp = np.zeros(xp.shape)
+    gviews = tap_views(gxp, spec, 0, dims)
+    if spec.kind == "avg":
+        y = np.zeros(out)
+        for view in views:
+            y += view
+        y /= math.prod(spec.kernel)
+        for gview in gviews:
+            gview += gout / math.prod(spec.kernel)
+        return y, unpadded(gxp, spec.padding, x.shape)
+    y = np.full(out, -np.inf, np.float32)
+    best_k = np.zeros(out, int)
+    for k, view in enumerate(views):
+        best_k[view > y] = k
+        np.maximum(y, view, out=y)
+    for k, gview in enumerate(gviews):
+        gview += np.where(best_k == k, gout, 0.0)
+    return y, unpadded(gxp, spec.padding, x.shape)
+
+
+@st.composite
+def window_cases(draw):
+    """A conv, a pool of the same kernel and stride, an input and a tile
+    budget.  Conv t-padding may reach past the kernel, so that some tiles
+    read only padding; a pool's padding stays below its kernel."""
+    kernel = tuple(draw(st.integers(1, 4)) for _ in range(3))
+    stride = tuple(draw(st.integers(1, 2)) for _ in range(3))
+    pool_pad = tuple(draw(st.integers(0, k - 1)) for k in kernel)
+    conv_pad = (draw(st.integers(0, kernel[0] + 2)), *pool_pad[1:])
+    groups = draw(st.integers(1, 3))
+    spec = Conv3DSpec(
+        groups * draw(st.integers(1, 2)), groups * draw(st.integers(1, 2)),
+        kernel, stride, conv_pad, groups,
+    )
+    pool = PoolSpec(draw(st.sampled_from(["max", "avg"])), kernel, stride, pool_pad)
+    extent = tuple(draw(st.integers(k, k + 4)) for k in kernel)
+    n = draw(st.integers(1, 2))
+    budget = draw(st.sampled_from([1, 4096, ops.TILE_BYTES]))
+    return spec, pool, (n, spec.in_channels, *extent), budget, draw(st.integers(0, 2**16))
+
+
+class TestPaddedReference:
+    """Every conv and pool reads its padding through ``ops._tap_plan`` and
+    never builds a padded copy.  An ``np.pad`` copy is the reference: the
+    outputs and gradients must match it bit for bit."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    # a 1-step tile that reads only t-padding, at either end
+    @example((Conv3DSpec(2, 2, (1, 3, 3), (1, 1, 1), (3, 1, 1)),
+              PoolSpec("max", (1, 3, 3), (1, 1, 1), (0, 1, 1)), (1, 2, 4, 5, 5), 1, 0))
+    @given(window_cases())
+    def test_matches_the_padded_reference(self, case):
+        spec, pool, shape, budget, seed = case
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal(shape).astype(np.float32)
+        if seed % 2:  # ties, which max pooling breaks by layout order
+            x = np.round(x)
+        w = rng.standard_normal(spec.weight_shape).astype(np.float32)
+        gout = rng.standard_normal(spec.output_shape(Shape5(*shape)))
+        pout = rng.standard_normal(pool.output_shape(Shape5(*shape)))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ops, "TILE_BYTES", budget)
+            got = [
+                ops.conv3d_lowered(Tensor5D(x), spec, w).data,
+                *autodiff.conv3d_backward(Tensor5D(x), spec, w, gout),
+                ops.pool3d(Tensor5D(x), pool).data,
+                autodiff.pool3d_backward(Tensor5D(x), pool, pout),
+            ]
+            want = [padded_conv(x, spec, w), *padded_conv_backward(x, spec, w, gout)]
+        py, pgx = padded_pool(x, pool, pout)
+        want += [py.astype(np.float32), pgx]
+        for a, b in zip(got, want):
+            assert a.shape == b.shape and a.dtype == b.dtype
+            assert a.tobytes() == np.ascontiguousarray(b).tobytes()
 
 
 class TestFactorizationIdentity:
@@ -394,6 +538,30 @@ class TestPooling:
     def test_rejects_negative_padding(self):
         with pytest.raises(ValueError, match="padding must be nonnegative"):
             PoolSpec("max", (3, 3, 3), (1, 1, 1), (-1, 0, 0))
+
+    @pytest.mark.parametrize("axis", range(3))
+    def test_rejects_padding_not_below_kernel(self, axis):
+        """A window of padding alone would make a max pool -inf."""
+        padding = [0, 0, 0]
+        padding[axis] = 2
+        with pytest.raises(ValueError, match=f"padding 2 on axis {'thw'[axis]} is not below"):
+            PoolSpec("max", (2, 2, 2), (1, 1, 1), tuple(padding))
+
+    def test_pooling_holds_no_padded_copy(self):
+        """Peak traced memory of the modules' 3x3x3 max pool: the forward
+        holds its output and under a quarter of the input more; the backward
+        holds its gradient, the running max, its tap index and mask and one
+        tap's gradient part, under twice the gradient more.  A padded copy
+        of the input or of its gradient breaks either bound."""
+        rng = np.random.default_rng(0)
+        x = Tensor5D(rng.standard_normal((1, 64, 8, 28, 28)).astype(np.float32))
+        spec = PoolSpec("max", (3, 3, 3), (1, 1, 1), (1, 1, 1))
+        gout = rng.standard_normal(tuple(spec.output_shape(x.shape)))
+
+        used, y = traced_peak(lambda: ops.pool3d(x, spec))
+        assert used < y.data.nbytes + x.data.nbytes // 4
+        used, gx = traced_peak(lambda: autodiff.pool3d_backward(x, spec, gout))
+        assert used < 3 * gx.nbytes
 
 
 class TestBatchNorm:
