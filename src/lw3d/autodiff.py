@@ -296,20 +296,25 @@ def calibrate_init(g: ModuleGraph, p: NetworkParams, x: Tensor5D) -> None:
     convolution's weights to unit output deviation and points each
     batch-norm layer's frozen statistics at the empirical moments of its
     input, so both activations and gradients stay at usable scale.
-    Run once right after ``init_params``; statistics stay fixed afterwards."""
+    Run once right after ``init_params``; statistics stay fixed afterwards.
+    The forward folds chains, so the hook runs each chain's conv, bn and relu
+    from ``KINDS`` itself (never ``run``): every bn needs its input's moments."""
 
     def around(layer: LayerSpec, xs: list[Tensor5D], run) -> Tensor5D:
-        if layer.kind == "bn":
-            st, d = p.bn[layer.id], xs[0].data.astype(COMPUTE)
-            st.mean = d.mean(axis=(0, 2, 3, 4)).astype(np.float32)
-            # floor keeps 1/sqrt(var) from amplifying noise channels
-            st.var = np.maximum(d.var(axis=(0, 2, 3, 4)), 1e-2).astype(np.float32)
-        y = run()
-        s = float(y.data.std()) if layer.kind == "conv" else 0.0
-        if s > 1e-8:
-            par = p.conv[layer.id]
-            par.value = (par.value / s).astype(np.float32)
-            y = Tensor5D(y.data / np.float32(s))
+        for l in [layer, *map(g.layer, g.chains.get(layer.id, ()))]:
+            if l.kind == "bn":
+                st, d = p.bn[l.id], xs[0].data.astype(COMPUTE)
+                st.mean = d.mean(axis=(0, 2, 3, 4)).astype(np.float32)
+                # floor keeps 1/sqrt(var) from amplifying noise channels
+                st.var = np.maximum(d.var(axis=(0, 2, 3, 4)), 1e-2).astype(np.float32)
+                del d  # freed before the bn's own temporaries exist
+            y = KINDS[l.kind][0](l, p, xs)
+            s = float(y.data.std()) if l.kind == "conv" else 0.0
+            if s > 1e-8:
+                par = p.conv[l.id]
+                par.value = (par.value / s).astype(np.float32)
+                y = Tensor5D(y.data / np.float32(s))
+            xs = [y]
         return y
 
     forward(g, p, x, around=around, keep=())
@@ -331,19 +336,19 @@ def _conv_bn_relu(layer: LayerSpec, p: NetworkParams, st: BnState, xs) -> Tensor
 def forward(
     g: ModuleGraph, p: NetworkParams, x: Tensor5D, around=None, keep=None
 ) -> dict[str, Tensor5D]:
-    """Run the graph, returning the activations keyed by layer id.  With
-    ``around``, each non-input activation is ``around(layer, inputs, run)``,
-    where ``run()`` computes it from the layer's ``KINDS`` entry.
+    """Run the graph, returning the activations keyed by layer id.
 
-    ``keep=None`` keeps every activation, which ``backward`` reads.  Any other
-    collection of ids keeps only those and the output: every other activation
-    is dropped as soon as the last layer reading it has run (``g.frees``).
-    Such a forward without ``around`` also folds each ``g.chains`` conv ->
-    bn -> relu whose conv and bn ids are not kept into one conv
-    (``_conv_bn_relu``), stored under the relu's id; the conv's and the bn's
-    own outputs never exist."""
+    ``keep=None`` runs every layer and keeps every activation, which
+    ``backward`` reads.  Any other collection of ids keeps only those and the
+    output, drops every other activation once its last reader has run
+    (``g.frees``) and runs each ``g.chains`` conv -> bn -> relu whose conv and
+    bn ids are not kept as one conv (``_conv_bn_relu``) stored under the relu's
+    id.  With ``around``, each executed step's activation is ``around(layer,
+    inputs, run)``, where ``run()`` computes it; a folded chain is one step of
+    its conv, whose ``run()`` yields the relu output (``g.chains[layer.id]``
+    names the bn and the relu)."""
     chains = {}
-    if keep is not None and around is None:
+    if keep is not None:
         chains = {c: ids for c, ids in g.chains.items() if c not in keep and ids[0] not in keep}
     folded = {lid for ids in chains.values() for lid in ids}  # run by their conv
     acts = {}

@@ -812,6 +812,52 @@ class TestCalibration:
         for lid, s in params.bn.items():
             assert np.array_equal(s.mean, snap[lid])
 
+    # sha256 of calibrate_init's conv values, bn means and bn variances in
+    # parameterized_layers order, on a 16-clip probe built as train_toy builds it
+    CALIBRATION_PINS = {
+        "i3d": "4e678e97b9701032",
+        "ist": "10ec559230411337",
+        "sst": "14f08911e5781798",
+        "gsst": "2f0cb16cd09caac8",
+    }
+
+    @pytest.mark.parametrize("arch", ARCHS)
+    def test_calibration_is_pinned(self, arch):
+        g = toy_net(arch)
+        p = init_params(g, 0)
+        data = toy_dataset(16)
+        take = np.linspace(0, len(data) - 1, min(len(data), 16)).astype(int)
+        calibrate_init(g, p, Tensor5D(np.concatenate([data[i][0].data for i in take], axis=0)))
+        h = hashlib.sha256()
+        for layer in parameterized_layers(g):
+            if layer.kind == "conv":
+                h.update(p.conv[layer.id].value.tobytes())
+            else:
+                h.update(p.bn[layer.id].mean.tobytes() + p.bn[layer.id].var.tobytes())
+        assert h.hexdigest()[:16] == self.CALIBRATION_PINS[arch]
+
+    def test_bn_input_copy_is_freed_before_the_bn_runs(self):
+        """On one conv -> bn -> relu, calibration peaks at 5.01x the conv's
+        output; holding the float64 copy of the bn input while the bn's own
+        temporaries exist makes it 6.01x."""
+        g = ModuleGraph([
+            LayerSpec("in", "input", Shape5(1, 8, 8, 32, 32)),
+            LayerSpec("c", "conv", Conv3DSpec(8, 32, (1, 1, 1)), ["in"]),
+            LayerSpec("b", "bn", 32, ["c"]),
+            LayerSpec("r", "relu", None, ["b"]),
+            LayerSpec("head", "conv", Conv3DSpec(32, 2, (1, 1, 1)), ["r"]),
+            LayerSpec("out", "softmax", None, ["head"]),
+        ], "i3d", num_classes=2)
+        p = init_params(g, 0)
+        x = Tensor5D(np.random.default_rng(0).standard_normal(g.input_shape).astype(np.float32))
+        tracemalloc.start()
+        try:
+            calibrate_init(g, p, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5.5 * g.shapes["c"].size * 4
+
 
 class TestForwardHook:
     def test_pass_through_hook_sees_each_layer_once_and_changes_nothing(self):
@@ -836,13 +882,66 @@ class TestForwardHook:
         hooks = []
 
         def spy(g, p, x, around=None, keep=None):
-            hooks.append(around)
+            hooks.append((around, keep))
             return real(g, p, x, around, keep)
 
         monkeypatch.setattr(autodiff, "forward", spy)
+        calls = count_calls(monkeypatch, [(ops, "conv3d_lowered"), (autodiff, "_conv_bn_relu")])
         g = toy_net()
         calibrate_init(g, init_params(g, 0), Tensor5D(np.ones(TOY_SHAPE, np.float32)))
-        assert len(hooks) == 1 and hooks[0] is not None
+        assert len(hooks) == 1 and hooks[0][0] is not None
+        assert hooks[0][1] is not None  # a liveness forward
+        # the hook unfolds each chain itself, and the tracer's MAC check
+        # counts every conv calibration runs
+        assert [kw["tag"] for _, kw in calls["conv3d_lowered"]] == [
+            layer.id for layer in g.layers if layer.kind == "conv"
+        ]
+        assert calls["_conv_bn_relu"] == []
+
+    # on one-clip calibrations the fold moves these outputs by up to 0.298
+    # (ist), so a hook that ran the unfolded forward would show here
+    @pytest.mark.parametrize("arch", ARCHS)
+    def test_pass_through_hook_leaves_the_inference_forward_unchanged(self, arch):
+        g = toy_net(arch)
+        p = init_params(g, 0)
+        x = Tensor5D(np.random.default_rng(2).standard_normal(TOY_SHAPE).astype(np.float32))
+        calibrate_init(g, p, x)
+        plain = forward(g, p, x, keep={g.output_id})
+        hooked = forward(g, p, x, around=lambda layer, xs, run: run(), keep={g.output_id})
+        assert hooked[g.output_id].data.tobytes() == plain[g.output_id].data.tobytes()
+
+    @pytest.mark.parametrize("arch", ARCHS)
+    def test_hooked_inference_runs_the_folded_forward(self, arch, monkeypatch):
+        g = toy_net(arch)
+        calls = count_calls(
+            monkeypatch, [(ops, "conv3d_lowered"), (ops, "batchnorm_infer"), (tensor, "relu")]
+        )
+        forward(g, init_params(g, 0), Tensor5D(np.ones(TOY_SHAPE, np.float32)),
+                around=lambda layer, xs, run: run(), keep={g.output_id})
+        assert calls["batchnorm_infer"] == [] and calls["relu"] == []
+        assert [kw["tag"] for _, kw in calls["conv3d_lowered"]] == [
+            layer.id for layer in g.layers if layer.kind == "conv"
+        ]
+
+    def test_a_kept_bn_shows_its_chain_as_three_steps(self):
+        g = toy_net()
+        conv, (bn, relu) = next(iter(g.chains.items()))
+        p, x = init_params(g, 0), Tensor5D(np.ones(TOY_SHAPE, np.float32))
+
+        def steps(keep):
+            seen = []
+
+            def around(layer, xs, run):
+                seen.append(layer.id)
+                return run()
+
+            forward(g, p, x, around=around, keep=keep)
+            return seen
+
+        folded, kept = steps({g.output_id}), steps({bn, g.output_id})
+        i = kept.index(conv)
+        assert kept[i : i + 3] == [conv, bn, relu]
+        assert kept[: i + 1] + kept[i + 3 :] == folded
 
 
 def fan_out_graph():
@@ -874,6 +973,10 @@ class TestLiveness:
         assert list(kept) == [g.output_id]
         assert kept[g.output_id].data.tobytes() == forward(g, p, x)[g.output_id].data.tobytes()
 
+    # executed steps of a toy inference forward: one per folded chain and one
+    # per other non-input layer
+    STEPS = {"i3d": 82, "ist": 102, "sst": 120, "gsst": 120}
+
     @pytest.mark.parametrize("arch", ARCHS)
     def test_hook_sees_each_layer_once(self, arch):
         g = toy_net(arch)
@@ -885,7 +988,9 @@ class TestLiveness:
 
         forward(g, init_params(g, 0), Tensor5D(np.ones(TOY_SHAPE, np.float32)),
                 around=around, keep={g.output_id})
-        assert seen == [layer.id for layer in g.layers if layer.kind != "input"]
+        folded = {lid for ids in g.chains.values() for lid in ids}  # run by their conv
+        assert seen == [l.id for l in g.layers if l.kind != "input" and l.id not in folded]
+        assert len(seen) == self.STEPS[arch]
 
     def test_fan_out_and_split_ports_free_each_entry_at_its_last_reader(self, monkeypatch):
         g = fan_out_graph()
