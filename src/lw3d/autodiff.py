@@ -65,27 +65,87 @@ def conv3d_backward(
     return gx, gw.reshape(w.shape)
 
 
+def _first_max(src: np.ndarray, plan: ops.TapPlan) -> tuple[np.ndarray, np.ndarray]:
+    """The max over one ``ops._axis_plans`` pass's taps of the rows ``src``
+    and the first tap that holds it.  A later equal tap never wins, and a
+    site with nothing above -inf keeps tap 0."""
+    best = np.full((len(src), *plan.dims), -np.inf, dtype=src.dtype)
+    arg = np.zeros(best.shape, dtype=np.min_scalar_type(math.prod(plan.kernel) - 1))
+    mask = np.empty(best.shape, dtype=bool)
+    for k, region, source in plan.taps:
+        view, b = src[source], best[region]
+        if k:  # arg starts at tap 0
+            m = mask[region]
+            np.greater(view, b, out=m)  # strict: an equal later tap never wins
+            np.copyto(arg[region], k, where=m)
+        # fmax skips nan, which never wins; the sign it keeps of a tied
+        # zero does not matter, as the passes only compare what it keeps
+        np.fmax(b, view, out=b)
+    return best, arg
+
+
 def pool3d_backward(x: Tensor5D, spec: PoolSpec, gout: np.ndarray) -> np.ndarray:
     """Max pooling routes each window's gradient to the first maximal element
-    in layout order; average pooling spreads it over the full kernel volume."""
+    in layout order; average pooling spreads it over the full kernel volume.
+
+    The max branch works on ``ops._row_blocks`` of the input.  It takes the
+    first maximal tap along w, then h, then t: in (t, h, w) order the first
+    maximum per axis is the window's first maximum.  One ``np.bincount``
+    adds the gradients into their winners, ordered by tap, so each input
+    element sums its windows' gradients in the order a per-tap pass adds
+    them."""
     out_shape = spec.output_shape(x.shape)
     g = np.asarray(gout, dtype=COMPUTE).reshape(out_shape)
-    plan = ops._tap_plan(spec, x.shape[2:], 0, out_shape.t)
-    gx = np.zeros(x.shape, COMPUTE)
     if spec.kind == "avg":
+        gx = np.zeros(x.shape, COMPUTE)
         share = g / math.prod(spec.kernel)
+        plan = ops._tap_plan(spec, x.shape[2:], 0, out_shape.t)
         ops._col2im(gx, plan, lambda k, r: share[r])
         return gx
-    best = np.full(out_shape, -np.inf, dtype=x.data.dtype)
-    # the smallest unsigned dtype that holds every tap index
-    best_k = np.zeros(out_shape, dtype=np.min_scalar_type(math.prod(spec.kernel) - 1))
-    mask = np.empty(out_shape, dtype=bool)
-    for k, region, source in plan.taps:
-        view, m, b = x.data[source], mask[region], best[region]
-        np.greater(view, b, out=m)  # strict: an equal later tap never wins
-        np.copyto(b, view, where=m)
-        np.copyto(best_k[region], k, where=m)
-    ops._col2im(gx, plan, lambda k, r: np.where(best_k[r] == k, g[r], 0.0))
+    _, _, t, h, w = x.shape
+    _, _, ot, oh, ow = out_shape
+    kt, kh, kw = spec.kernel
+    # each output site's input step under tap 0, per axis
+    t0 = (np.arange(ot) * spec.stride[0] - spec.padding[0])[:, None, None]
+    h0 = (np.arange(oh) * spec.stride[1] - spec.padding[1])[:, None]
+    w0 = np.arange(ow) * spec.stride[2] - spec.padding[2]
+    padded0 = (t0 < 0) | (h0 < 0) | (w0 < 0)
+    along_w, along_h, along_t = ops._axis_plans(spec, x.shape[2:])
+    hw_sites, w_sites = np.arange(oh * ow).reshape(oh, ow), np.arange(ow)
+    rows, g_rows = x.data.reshape(-1, t, h, w), g.reshape(-1, ot, oh, ow)
+    gx = np.empty(x.shape, COMPUTE)
+    gx_rows = gx.reshape(len(rows), -1)
+    for r in ops._row_blocks(x.data):
+        best, w_tap = _first_max(rows[r], along_w)
+        best, h_tap = _first_max(best, along_h)
+        best, t_tap = _first_max(best, along_t)
+        n = len(best)
+        # the winner's index into the block's input, built up axis by axis;
+        # each partial index gathers the next axis's tap from its pass
+        at = t_tap + t0 + (np.arange(n) * t)[:, None, None, None]
+        h_tap = np.take(h_tap, at * (oh * ow) + hw_sites, mode="clip")
+        at *= h
+        at += h0
+        at += h_tap
+        w_tap = np.take(w_tap, at * ow + w_sites, mode="clip")
+        at *= w
+        at += w0
+        at += w_tap
+        tap = t_tap.astype(np.min_scalar_type(kt * kh * kw - 1))
+        tap *= kh
+        tap += h_tap
+        tap *= kw
+        tap += w_tap
+        at, tap, gr = at.ravel(), tap.ravel(), g_rows[r].ravel()
+        # a window with nothing above -inf keeps tap 0, as a per-tap scan
+        # does, and gives its gradient to no one where that tap is padding;
+        # the clipped gathers above keep its steps in range until then
+        lost = ((best == -np.inf) & padded0).ravel()
+        if lost.any():
+            at, tap, gr = at[~lost], tap[~lost], gr[~lost]
+        # by tap, so that each element adds its windows' parts in tap order
+        order = np.argsort(tap, kind="stable")
+        gx_rows[r] = np.bincount(at[order], gr[order], gx_rows[r].size).reshape(n, -1)
     return gx
 
 

@@ -11,6 +11,12 @@ input they read; every conv and pool, forward and backward, works from it.
 Padded taps read zeros in the patch matrix, are skipped by pooling and get
 no gradient.
 
+Max pooling is separable: max is exact in any order, so ``pool3d`` and
+``autodiff.pool3d_backward`` reduce along w, then h, then t, each pass over
+the tap plan of a one-axis window (``_axis_plans``).  They work on
+``_row_blocks``: runs of ``(n*c)`` rows whose input fits
+``_POOL_BLOCK_BYTES``, so their workspace does not grow with the input.
+
 The lowering never holds a whole patch matrix.  ``_time_tiles`` cuts the
 output time axis into tiles whose float64 workspace fits ``TILE_BYTES``
 (16 MB); each tile lowers only the input steps it reads, multiplies and
@@ -45,6 +51,10 @@ BN_EPS = 1e-5
 # the float64 workspace one conv lowering tile may hold; a tile takes at
 # least one output time step, however wide
 TILE_BYTES = 16 * 2**20
+# the input one block of max-pooling rows may hold; a block takes at least
+# one (n, c) row, and its maxima, tap indices and winners take a few times
+# that (``pool3d``, ``autodiff.pool3d_backward``)
+_POOL_BLOCK_BYTES = 64 * 2**10
 
 
 def _check_window(spec) -> None:
@@ -295,20 +305,65 @@ def channel_shuffle(x: Tensor5D, groups: int) -> Tensor5D:
     return Tensor5D(y)
 
 
+@functools.lru_cache(maxsize=256)
+def _axis_plans(spec: PoolSpec, x_dims: Triple) -> tuple[TapPlan, TapPlan, TapPlan]:
+    """The tap plans of separable max pooling's passes along w, then h, then
+    t over an input of extent ``x_dims``: each a one-axis window of
+    ``spec`` over what the pass before leaves.  Their taps index the
+    trailing three axes of a block of rows laid out (row, t, h, w)."""
+    plans, dims = [], tuple(x_dims)
+    for a in (2, 1, 0):
+        window = PoolSpec("max", *(
+            tuple(v[i] if i == a else rest for i in range(3))
+            for v, rest in ((spec.kernel, 1), (spec.stride, 1), (spec.padding, 0))
+        ))
+        ot = _window_dims(window, Shape5(1, 1, *dims), "pool")[0]
+        plans.append(_tap_plan(window, dims, 0, ot))
+        dims = plans[-1].dims
+    return tuple(plans)
+
+
+def _row_blocks(x: np.ndarray) -> list[slice]:
+    """Runs of the ``(n*c)`` rows of ``x`` whose input fits
+    ``_POOL_BLOCK_BYTES``, at least one row each."""
+    rows = x.shape[0] * x.shape[1]
+    step = max(1, _POOL_BLOCK_BYTES // x[0, 0].nbytes)
+    return [slice(r, min(r + step, rows)) for r in range(0, rows, step)]
+
+
+def _max_pass(src: np.ndarray, plan: TapPlan, out: np.ndarray | None = None) -> np.ndarray:
+    """The max over one ``_axis_plans`` pass's taps of the rows ``src``,
+    into ``out`` if given.  Padded taps are skipped."""
+    if out is None:
+        out = np.empty((len(src), *plan.dims), src.dtype)
+    out.fill(-np.inf)
+    for _, region, source in plan.taps:
+        acc = out[region]
+        np.maximum(acc, src[source], out=acc)
+    return out
+
+
 def pool3d(x: Tensor5D, spec: PoolSpec) -> Tensor5D:
     """Max pooling ignores padding; average pooling counts it as zeros and
-    always divides by the full kernel volume."""
+    always divides by the full kernel volume.
+
+    Max is exact in any order, so a max pool is three one-axis passes (w,
+    then h, then t) over ``_row_blocks`` of the input: 3+3+3 taps for a
+    3x3x3 window where a per-tap pass takes 27.  Average pooling adds its
+    taps one at a time, since a separable sum would round differently."""
     out_shape = spec.output_shape(x.shape)
     if spec.kind == "max":
-        fill, reduce, dtype = -np.inf, np.maximum, np.float32
-    else:
-        fill, reduce, dtype = 0.0, np.add, COMPUTE
-    out = np.full(out_shape, fill, dtype=dtype)
+        out = np.empty(out_shape, dtype=np.float32)
+        rows, out_rows = x.data.reshape(-1, *x.shape[2:]), out.reshape(-1, *out_shape[2:])
+        along_w, along_h, along_t = _axis_plans(spec, x.shape[2:])
+        for r in _row_blocks(x.data):
+            _max_pass(_max_pass(_max_pass(rows[r], along_w), along_h), along_t, out_rows[r])
+        return Tensor5D(out)
+    out = np.zeros(out_shape, dtype=COMPUTE)
     for _, region, source in _tap_plan(spec, x.shape[2:], 0, out_shape.t).taps:
         acc = out[region]
-        reduce(acc, x.data[source], out=acc)
-    if spec.kind == "avg":
-        out /= math.prod(spec.kernel)
+        np.add(acc, x.data[source], out=acc)
+    out /= math.prod(spec.kernel)
     return Tensor5D(out)
 
 

@@ -79,11 +79,14 @@ STRIDED_CONVS = [
 
 def first_max_pool_backward(x: np.ndarray, spec: PoolSpec, gout: np.ndarray) -> np.ndarray:
     """Reference max-pool backward, one window at a time: ``np.argmax`` over
-    the flattened window picks its first maximum in layout order."""
+    the flattened window picks its first maximum in layout order.  The
+    windows go last first, so each input element adds its windows'
+    gradients in tap order, as a pass per kernel tap does: a later tap of
+    an element is read by an earlier window."""
     pads = [(0, 0), (0, 0), *((p, p) for p in spec.padding)]
     xp = np.pad(x.astype(np.float64), pads, constant_values=-np.inf)
     gxp = np.zeros(xp.shape)
-    for n, c, *o in np.ndindex(*gout.shape):
+    for n, c, *o in reversed(list(np.ndindex(*gout.shape))):
         corner = [oi * s for oi, s in zip(o, spec.stride)]
         window = tuple(slice(a, a + k) for a, k in zip(corner, spec.kernel))
         tap = np.unravel_index(np.argmax(xp[(n, c, *window)]), spec.kernel)
@@ -203,6 +206,59 @@ class TestOperatorGradients:
         expected[0, 0, 0, 0, 0] = 5.0
         assert np.array_equal(gx, expected)
 
+    def test_max_pool_ties_route_to_the_layout_first_tap_across_axes(self):
+        """One 3x3x3 window per channel, with two tied maxima each: channel 0
+        at taps (t0, h2, w0) and (t1, h0, w0), channel 1 the same taps with
+        -0.0 before 0.0, which compare equal, and channel 2 at (t0, h0, w2)
+        and (t0, h1, w0).  The first in layout order wins every tie."""
+        x = np.full((1, 3, 3, 3, 3), -1.0, dtype=np.float32)
+        x[0, 0, 0, 2, 0] = x[0, 0, 1, 0, 0] = 2.0
+        x[0, 1, 0, 2, 0], x[0, 1, 1, 0, 0] = -0.0, 0.0
+        x[0, 2, 0, 0, 2] = x[0, 2, 0, 1, 0] = 3.0
+        spec = PoolSpec("max", (3, 3, 3))
+        gout = np.array([5.0, 7.0, 9.0]).reshape(1, 3, 1, 1, 1)
+        gx = autodiff.pool3d_backward(Tensor5D(x), spec, gout)
+        expected = np.zeros(x.shape)
+        expected[0, :2, 0, 2, 0] = 5.0, 7.0
+        expected[0, 2, 0, 0, 2] = 9.0
+        assert np.array_equal(gx, expected)
+        assert np.array_equal(gx, first_max_pool_backward(x, spec, gout))
+
+    def test_max_pool_backward_adds_each_elements_parts_in_tap_order(self):
+        """Channel 0's centre wins all 27 windows of a stride-1 3x3x3 pool,
+        and their non-integer gradients sum to a float64 value that depends
+        on the order.  A per-tap pass adds them in tap order, which takes
+        the windows last first.  Channel 1 is rounded noise: ties, and
+        elements that win several windows."""
+        rng = np.random.default_rng(7)
+        x = rng.uniform(-1.0, 0.0, (1, 2, 3, 3, 3)).astype(np.float32)
+        x[0, 0, 1, 1, 1] = 1.0
+        x[0, 1] = np.round(rng.standard_normal((3, 3, 3)))
+        spec = PoolSpec("max", (3, 3, 3), (1, 1, 1), (1, 1, 1))
+        gout = rng.standard_normal((1, 2, 3, 3, 3))
+        in_tap_order = in_site_order = 0.0
+        for part in gout[0, 0].ravel()[::-1]:
+            in_tap_order += part
+        for part in gout[0, 0].ravel():
+            in_site_order += part
+        assert in_tap_order != in_site_order  # so the order shows
+        gx = autodiff.pool3d_backward(Tensor5D(x), spec, gout)
+        assert gx[0, 0, 1, 1, 1] == in_tap_order
+        assert gx.tobytes() == first_max_pool_backward(x, spec, gout).tobytes()
+
+    def test_max_pool_window_of_minus_inf_routes_to_tap_0(self):
+        """A window with nothing above -inf gives its gradient to its tap 0,
+        as a scan that takes only a strictly greater tap does, and to no
+        one where tap 0 is padding: at the corner of the input, and past
+        the edge of the block of finite values."""
+        rng = np.random.default_rng(2)
+        x = np.full((1, 2, 4, 6, 6), -np.inf, dtype=np.float32)
+        x[0, :, 2:, 3:, 3:] = np.round(rng.standard_normal((2, 2, 3, 3)))
+        spec = PoolSpec("max", (2, 3, 3), (1, 1, 1), (1, 1, 1))
+        gout = rng.standard_normal(tuple(spec.output_shape(Shape5(*x.shape))))
+        gx = autodiff.pool3d_backward(Tensor5D(x), spec, gout)
+        assert gx.tobytes() == first_max_pool_backward(x, spec, gout).tobytes()
+
     @pytest.mark.parametrize("spec", BUILDER_POOLS, ids=repr)
     def test_builder_pool_windows_match_finite_differences(self, spec):
         assert gradcheck._check_pool(np.random.default_rng(0), spec) <= 1e-2
@@ -220,6 +276,12 @@ class TestOperatorGradients:
         gout = rng.integers(-8, 9, y.shape).astype(np.float64)
         gx = autodiff.pool3d_backward(Tensor5D(x), spec, gout)
         assert np.array_equal(gx, first_max_pool_backward(x, spec, gout))
+
+    def test_max_pool_backward_over_255_taps_in_row_blocks(self, monkeypatch):
+        """The 343-tap case above with each row block one clip's channels."""
+        monkeypatch.setattr(ops, "_POOL_BLOCK_BYTES", 2 * 7 * 9 * 9 * 4)
+        assert len(ops._row_blocks(np.empty((2, 2, 7, 9, 9), np.float32))) == 2
+        self.test_max_pool_backward_over_255_taps_matches_first_max_reference()
 
     @pytest.mark.parametrize("spec", STRIDED_CONVS, ids=repr)
     def test_strided_padded_conv_matches_finite_differences(self, spec):

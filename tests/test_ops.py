@@ -407,9 +407,10 @@ def padded_pool(x: np.ndarray, spec: PoolSpec, gout: np.ndarray):
 
 @st.composite
 def window_cases(draw):
-    """A conv, a pool of the same kernel and stride, an input and a tile
-    budget.  Conv t-padding may reach past the kernel, so that some tiles
-    read only padding; a pool's padding stays below its kernel."""
+    """A conv, a pool of the same kernel and stride, an input, a tile budget
+    and a max-pool row block budget (1 puts each row in a block of its own).
+    Conv t-padding may reach past the kernel, so that some tiles read only
+    padding; a pool's padding stays below its kernel."""
     kernel = tuple(draw(st.integers(1, 4)) for _ in range(3))
     stride = tuple(draw(st.integers(1, 2)) for _ in range(3))
     pool_pad = tuple(draw(st.integers(0, k - 1)) for k in kernel)
@@ -423,7 +424,9 @@ def window_cases(draw):
     extent = tuple(draw(st.integers(k, k + 4)) for k in kernel)
     n = draw(st.integers(1, 2))
     budget = draw(st.sampled_from([1, 4096, ops.TILE_BYTES]))
-    return spec, pool, (n, spec.in_channels, *extent), budget, draw(st.integers(0, 2**16))
+    pool_budget = draw(st.sampled_from([1, 1024, ops._POOL_BLOCK_BYTES]))
+    shape = (n, spec.in_channels, *extent)
+    return spec, pool, shape, budget, pool_budget, draw(st.integers(0, 2**16))
 
 
 class TestPaddedReference:
@@ -434,10 +437,10 @@ class TestPaddedReference:
     @settings(max_examples=60, deadline=None, derandomize=True)
     # a 1-step tile that reads only t-padding, at either end
     @example((Conv3DSpec(2, 2, (1, 3, 3), (1, 1, 1), (3, 1, 1)),
-              PoolSpec("max", (1, 3, 3), (1, 1, 1), (0, 1, 1)), (1, 2, 4, 5, 5), 1, 0))
+              PoolSpec("max", (1, 3, 3), (1, 1, 1), (0, 1, 1)), (1, 2, 4, 5, 5), 1, 1, 0))
     @given(window_cases())
     def test_matches_the_padded_reference(self, case):
-        spec, pool, shape, budget, seed = case
+        spec, pool, shape, budget, pool_budget, seed = case
         rng = np.random.default_rng(seed)
         x = rng.standard_normal(shape).astype(np.float32)
         if seed % 2:  # ties, which max pooling breaks by layout order
@@ -447,6 +450,7 @@ class TestPaddedReference:
         pout = rng.standard_normal(pool.output_shape(Shape5(*shape)))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(ops, "TILE_BYTES", budget)
+            mp.setattr(ops, "_POOL_BLOCK_BYTES", pool_budget)
             got = [
                 ops.conv3d_lowered(Tensor5D(x), spec, w).data,
                 *autodiff.conv3d_backward(Tensor5D(x), spec, w, gout),
@@ -550,9 +554,9 @@ class TestPooling:
     def test_pooling_holds_no_padded_copy(self):
         """Peak traced memory of the modules' 3x3x3 max pool: the forward
         holds its output and under a quarter of the input more; the backward
-        holds its gradient, the running max, its tap index and mask and one
-        tap's gradient part, under twice the gradient more.  A padded copy
-        of the input or of its gradient breaks either bound."""
+        holds its gradient and one row block's workspace, under twice the
+        gradient more.  A padded copy of the input or of its gradient breaks
+        either bound."""
         rng = np.random.default_rng(0)
         x = Tensor5D(rng.standard_normal((1, 64, 8, 28, 28)).astype(np.float32))
         spec = PoolSpec("max", (3, 3, 3), (1, 1, 1), (1, 1, 1))
@@ -562,6 +566,21 @@ class TestPooling:
         assert used < y.data.nbytes + x.data.nbytes // 4
         used, gx = traced_peak(lambda: autodiff.pool3d_backward(x, spec, gout))
         assert used < 3 * gx.nbytes
+
+    def test_max_pool_backward_holds_its_gradient_and_one_block(self):
+        """The module max pool's backward, split into row blocks, holds its
+        gradient and one block's workspace: the per-axis maxima and taps,
+        the winners' indices and the scatter ordered by tap, about ten
+        times the block's input.  A pass per kernel tap holds the running
+        max, its tap and mask and one tap's gradient part over the whole
+        output (9.24 MB where this bound is 4.26 MB)."""
+        rng = np.random.default_rng(0)
+        x = Tensor5D(rng.standard_normal((1, 64, 8, 28, 28)).astype(np.float32))
+        spec = PoolSpec("max", (3, 3, 3), (1, 1, 1), (1, 1, 1))
+        gout = rng.standard_normal(tuple(spec.output_shape(x.shape)))
+        assert len(ops._row_blocks(x.data)) > 1
+        used, gx = traced_peak(lambda: autodiff.pool3d_backward(x, spec, gout))
+        assert used < gx.nbytes + 16 * ops._POOL_BLOCK_BYTES
 
 
 class TestBatchNorm:
