@@ -31,37 +31,30 @@ def conv3d_backward(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Input and weight gradients of the bias-free convolution.
 
-    Both are 2-D GEMMs against one clip's patch matrix, one
-    ``ops._time_tiles`` tile at a time: ``gw`` accumulates each tile's
-    ``gmat @ cols.T`` and each tile's ``gcols`` is added into the input
-    steps it came from.  A tile's ``cols`` is freed before its ``gcols``
-    exists, and its ``gcols`` before the next tile's ``cols``."""
+    Both work from the forward's ``ops._time_tiles`` plan, one tile at a
+    time, on one patch matrix for the whole batch and every group: ``gw``
+    accumulates each clip's stacked ``gmat @ cols.T`` in clip order, and
+    one stacked ``w.T @ gmat`` gives the tile's ``gcols``, added into the
+    input steps it came from.  A tile's ``cols`` is freed before its
+    ``gcols`` exists, and its ``gcols`` before the next tile's ``cols``."""
     out_shape = spec.output_shape(x.shape)
     # cast once here: a float32 weight is cast again by every per-clip matmul,
     # which made the train-dense conv backwards 6% slower
     w = np.asarray(weights, dtype=COMPUTE)
+    wmat = w.reshape(spec.groups, spec.out_channels // spec.groups, -1)
     g = np.asarray(gout, dtype=COMPUTE).reshape(out_shape)
-    cg = spec.in_channels // spec.groups
-    og = spec.out_channels // spec.groups
-    kcols = cg * math.prod(spec.kernel)
-    # sized for a column of cols and of gcols and a gmat copy per output site,
-    # though cols is freed before gcols exists: longer tiles would regroup the
-    # gw and gx sums and change the pinned training runs' rounding
-    tiles = ops._time_tiles(spec, x.shape, 2 * kcols + og)
     gx = np.zeros(x.shape, COMPUTE)
-    gw = np.zeros((spec.out_channels, kcols), COMPUTE)
-    for gi in range(spec.groups):
-        cs, os_ = slice(gi * cg, (gi + 1) * cg), slice(gi * og, (gi + 1) * og)
-        wmat = w[os_].reshape(og, -1)
+    gw = np.zeros(wmat.shape, COMPUTE)
+    for plan in ops._time_tiles(spec, x.shape):
+        gmat = g[:, :, plan.ts].reshape(x.n, *wmat.shape[:2], -1)  # a view, not a copy
+        cols = ops._im2col(x.data, plan).reshape(x.n, spec.groups, wmat.shape[2], -1)
+        # clip by clip: one GEMM over the batch would regroup gw's sums
         for i in range(x.n):
-            for plan in tiles:
-                cols = ops._im2col(x.data[i : i + 1, cs], plan)[0]
-                gmat = g[i, os_, plan.ts].reshape(og, -1)
-                gw[os_] += gmat @ cols.T
-                del cols
-                gcols = (wmat.T @ gmat).reshape(1, cg, -1, *plan.dims)
-                ops._col2im(gx[i : i + 1, cs], plan, lambda k, r: gcols[:, :, k][r])
-                del gcols
+            gw += gmat[i] @ cols[i].transpose(0, 2, 1)
+        del cols
+        gcols = (wmat.transpose(0, 2, 1) @ gmat).reshape(x.n, x.c, -1, *plan.dims)
+        ops._col2im(gx, plan, lambda k, r: gcols[:, :, k][r])
+        del gcols
     return gx, gw.reshape(w.shape)
 
 

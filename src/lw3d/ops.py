@@ -19,9 +19,10 @@ the tap plan of a one-axis window (``_axis_plans``).  They work on
 
 The lowering never holds a whole patch matrix.  ``_time_tiles`` cuts the
 output time axis into tiles whose float64 workspace fits ``TILE_BYTES``
-(16 MB); each tile lowers only the input steps it reads, multiplies and
-stores its output slice.  The forward and ``autodiff.conv3d_backward``
-share that plan, and each frees a tile's arrays before it builds the next.
+(16 MB); each tile lowers only the input steps it reads, for the whole batch
+and every group in one patch matrix, multiplies and stores its output slice.
+The forward and ``autodiff.conv3d_backward`` share that one plan, and each
+frees a tile's arrays before it builds the next.
 
 ``COMPUTE`` is the one owner of the accumulation dtype: patch matrices, avg
 pooling, batch norm, softmax and every gradient in ``autodiff`` use it.  The
@@ -244,12 +245,15 @@ def _col2im(gx: np.ndarray, plan: TapPlan, part):
         gx[source] += part(k, region)
 
 
-def _time_tiles(spec: Conv3DSpec, x: Shape5, per_site: int) -> list[TapPlan]:
-    """The conv lowering's tile plan: the ``TapPlan`` of each run of output
-    time steps.  A tile takes as many steps as keep a workspace of
-    ``per_site`` COMPUTE values per output site within ``TILE_BYTES``, and
-    at least one."""
+def _time_tiles(spec: Conv3DSpec, x: Shape5) -> list[TapPlan]:
+    """The conv lowering's one tile plan, which the forward and
+    ``autodiff.conv3d_backward`` share: the ``TapPlan`` of each run of
+    output time steps.  Per output site a tile holds a column of the whole
+    batch's patch matrix over every group (or of its gradient, never both)
+    and the product's values; a tile takes as many steps as keep that within
+    ``TILE_BYTES``, and at least one."""
     ot, oh, ow = _window_dims(spec, x, "conv")
+    per_site = x.n * (spec.in_channels * math.prod(spec.kernel) + spec.out_channels)
     step = max(1, TILE_BYTES // (per_site * oh * ow * np.dtype(COMPUTE).itemsize))
     return [_tap_plan(spec, x[2:], t0, min(t0 + step, ot)) for t0 in range(0, ot, step)]
 
@@ -262,23 +266,22 @@ def conv3d_lowered(
     tag: str | None = None,
 ) -> Tensor5D:
     """Convolution by patch-matrix lowering and matrix multiply, one
-    ``_time_tiles`` tile at a time.  ``counter`` gains the call's MACs;
-    ``tag`` names the layer.  Only ``perfbench/tracer.py`` reads either."""
+    ``_time_tiles`` tile at a time.  Each tile builds one patch matrix for
+    the whole batch and every group, and one stacked matmul multiplies each
+    (clip, group) block by its group's weights.  ``counter`` gains the
+    call's MACs; ``tag`` names the layer.  Only ``perfbench/tracer.py``
+    reads either."""
     out_shape = spec.output_shape(x.shape)
     # cast once: a float32 weight is cast again by every tile's matmul;
     # COMPUTE weights (a folded conv's) are used as they are
     w = np.asarray(_check_weights(spec, weights), dtype=COMPUTE)
-    cg = spec.in_channels // spec.groups
-    og = spec.out_channels // spec.groups
-    # per output site, the workspace is a patch-matrix column and its product
-    tiles = _time_tiles(spec, x.shape, x.n * (cg * math.prod(spec.kernel) + og))
+    wmat = w.reshape(spec.groups, spec.out_channels // spec.groups, -1)
     out = np.empty(out_shape, dtype=np.float32)
-    for plan in tiles:
-        for g in range(spec.groups):
-            cs, os_ = slice(g * cg, (g + 1) * cg), slice(g * og, (g + 1) * og)
-            cols = _im2col(x.data[:, cs], plan)
-            out[:, os_, plan.ts] = (w[os_].reshape(og, -1) @ cols).reshape(x.n, og, *plan.dims)
-            del cols  # freed before the next _im2col allocates
+    for plan in _time_tiles(spec, x.shape):
+        # rows run channel by channel, so group g's block is its own patch matrix
+        cols = _im2col(x.data, plan).reshape(x.n, spec.groups, wmat.shape[2], -1)
+        out[:, :, plan.ts] = (wmat @ cols).reshape(x.n, spec.out_channels, *plan.dims)
+        del cols  # freed before the next _im2col allocates
     if counter is not None:
         counter.macs += spec.macs(out_shape)
     return Tensor5D(out)

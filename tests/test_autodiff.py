@@ -540,19 +540,48 @@ class TestBenchmarkHooks:
         backward(g, p, acts, np.array([1]), collecting_step()[0])
         assert called == {name for _, name in self.KINDS_OPS}
 
-    def test_lowered_conv_builds_patches_through_ops(self, monkeypatch):
-        real = ops._im2col
-        channels = []
+    @staticmethod
+    def patch_calls(run):
+        """The ``(batch, channels)`` and tile of each ``ops._im2col`` call
+        ``run()`` makes, and its one ``ops._time_tiles`` request (arguments
+        and plan), on a 2-group conv over 2 clips of 4 channels whose 3
+        output steps each take a tile of their own."""
+        real_im2col, real_tiles = ops._im2col, ops._time_tiles
+        patches, requests = [], []
 
-        def spy(xp, *args):
-            channels.append(xp.shape[1])
-            return real(xp, *args)
+        def im2col_spy(xp, plan):
+            patches.append((xp.shape[:2], plan))
+            return real_im2col(xp, plan)
 
-        monkeypatch.setattr(ops, "_im2col", spy)
+        def tiles_spy(spec, x):
+            requests.append((spec, x, real_tiles(spec, x)))
+            return requests[-1][2]
+
         spec = Conv3DSpec(4, 6, (3, 3, 3), (1, 1, 1), (1, 1, 1), 2)
-        x = Tensor5D(np.ones((1, 4, 3, 4, 4), np.float32))
-        ops.conv3d_lowered(x, spec, np.ones(spec.weight_shape, np.float32))
-        assert channels == [2, 2]  # one patch matrix per group
+        x = Tensor5D(np.ones((2, 4, 3, 4, 4), np.float32))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ops, "_im2col", im2col_spy)
+            mp.setattr(ops, "_time_tiles", tiles_spy)
+            mp.setattr(ops, "TILE_BYTES", 1)
+            run(x, spec, np.ones(spec.weight_shape, np.float32))
+        assert len(requests) == 1 and len(requests[0][2]) == 3
+        return patches, requests[0]
+
+    @staticmethod
+    def backward(x, spec, w):
+        return autodiff.conv3d_backward(x, spec, w, np.ones(spec.output_shape(x.shape)))
+
+    def test_lowered_conv_builds_patches_through_ops(self):
+        patches, (*_, plan) = self.patch_calls(ops.conv3d_lowered)
+        # one patch matrix per tile, for the whole batch and every group
+        assert patches == [((2, 4), tile) for tile in plan]
+
+    def test_conv_backward_builds_patches_through_ops(self):
+        patches, (*_, plan) = self.patch_calls(self.backward)
+        assert patches == [((2, 4), tile) for tile in plan]
+
+    def test_conv_forward_and_backward_share_one_tile_plan(self):
+        assert self.patch_calls(self.backward)[1] == self.patch_calls(ops.conv3d_lowered)[1]
 
 
 class TestEndToEndBackward:

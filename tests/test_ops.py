@@ -234,11 +234,11 @@ class TestTiledLowering:
         that leaves a short last tile, and one that fits the whole matrix:
         each budget's result by name, once every call's tile plan is checked."""
         real = ops._time_tiles
-        per_site, plans = [], []
+        calls, plans = [], []
 
-        def spy(spec, x, values):
-            plan = real(spec, x, values)
-            per_site.append(values)
+        def spy(spec, x):
+            plan = real(spec, x)
+            calls.append((spec, x))
             plans.append([tile.dims[0] for tile in plan])
             return plan
 
@@ -246,8 +246,11 @@ class TestTiledLowering:
         monkeypatch.setattr(ops, "TILE_BYTES", 1)
         results = {"one-byte": run()}
         assert plans and all(p == [1] * out.t for p in plans)
-        # workspace bytes of one output time step, as the first call sized it
-        step = per_site[0] * out.h * out.w * np.dtype(ops.COMPUTE).itemsize
+        # workspace bytes of one output time step, from the first call's spec:
+        # per site, a column of the whole batch's patch matrix and its product
+        spec, x = calls[0]
+        per_site = x.n * (spec.in_channels * math.prod(spec.kernel) + spec.out_channels)
+        step = per_site * out.h * out.w * np.dtype(ops.COMPUTE).itemsize
         for name, steps, want in (
             ("short-last", out.t - 1, [out.t - 1, 1]), ("whole", out.t, [out.t])
         ):
@@ -295,16 +298,41 @@ class TestTiledLowering:
         assert abs(float((gx * x.data).sum()) - ref) <= 1e-4 * scale
         assert abs(float((gw * w).sum()) - ref) <= 1e-4 * scale
 
-    def test_workspace_stays_within_the_budget(self, monkeypatch):
+    @pytest.mark.parametrize("budget", [1, ops.TILE_BYTES])
+    @pytest.mark.parametrize("groups", [2, 3])
+    def test_grouped_conv_matches_one_conv_per_group(self, monkeypatch, groups, budget):
+        """One patch matrix holds every clip and group of a tile, and one
+        stacked matmul multiplies it.  Each group's block of the output and of
+        both gradients must still be, bit for bit, what an ungrouped conv over
+        that group's channels gives: one 1-step tile each at a 1-byte budget,
+        one whole tile each at the default."""
+        monkeypatch.setattr(ops, "TILE_BYTES", budget)
+        rng = np.random.default_rng(groups)
+        cg, og = 2, 3
+        spec = Conv3DSpec(groups * cg, groups * og, (3, 3, 3), (2, 1, 1), (1, 1, 1), groups)
+        one = Conv3DSpec(cg, og, spec.kernel, spec.stride, spec.padding)
+        x = Tensor5D(rng.standard_normal((3, spec.in_channels, 7, 5, 6)).astype(np.float32))
+        w = rng.standard_normal(spec.weight_shape).astype(np.float32)
+        gout = rng.standard_normal(tuple(spec.output_shape(x.shape)))
+        y = ops.conv3d_lowered(x, spec, w).data
+        gx, gw = autodiff.conv3d_backward(x, spec, w, gout)
+        for g in range(groups):
+            cs, os_ = slice(g * cg, (g + 1) * cg), slice(g * og, (g + 1) * og)
+            xg = Tensor5D(x.data[:, cs])
+            gxg, gwg = autodiff.conv3d_backward(xg, one, w[os_], gout[:, os_])
+            assert y[:, os_].tobytes() == ops.conv3d_lowered(xg, one, w[os_]).data.tobytes()
+            assert gx[:, cs].tobytes() == gxg.tobytes()
+            assert gw[os_].tobytes() == gwg.tobytes()
+
+    @staticmethod
+    def check_workspace(monkeypatch, batch, groups, hw):
         """Peak traced memory of one forward call stays under its output and
         one budget, and of one backward call under its arrays and one budget,
-        while the whole patch matrix is over four budgets.  Building the
-        matrix whole, or a padded copy of the input or of its gradient,
-        fails this."""
+        while the whole patch matrix is over four budgets."""
         monkeypatch.setattr(ops, "TILE_BYTES", 2**20)
         rng = np.random.default_rng(3)
-        spec = Conv3DSpec(8, 8, (3, 3, 3), padding=(1, 1, 1))
-        x = Tensor5D(rng.standard_normal((1, 8, 16, 16, 16)).astype(np.float32))
+        spec = Conv3DSpec(8, 8, (3, 3, 3), padding=(1, 1, 1), groups=groups)
+        x = Tensor5D(rng.standard_normal((batch, 8, 16, hw, hw)).astype(np.float32))
         w = rng.standard_normal(spec.weight_shape).astype(np.float32)
         out = spec.output_shape(x.shape)
         patch_bytes = out.size // out.c * 8 * 27 * np.dtype(ops.COMPUTE).itemsize
@@ -316,6 +344,18 @@ class TestTiledLowering:
         used, (gx, gw) = traced_peak(lambda: autodiff.conv3d_backward(x, spec, w, gout))
         assert gx.shape == x.shape
         assert used < gout.nbytes + gx.nbytes + gw.nbytes + ops.TILE_BYTES
+
+    def test_workspace_stays_within_the_budget(self, monkeypatch):
+        """Building the matrix whole, or a padded copy of the input or of its
+        gradient, fails this."""
+        self.check_workspace(monkeypatch, batch=1, groups=1, hw=16)
+
+    def test_workspace_stays_within_the_budget_for_a_grouped_batch(self, monkeypatch):
+        """A tile holds every clip and group of its steps, so the plan must
+        shorten the tile to match.  At 10x10 sites a step is about half the
+        budget: sizing a tile for one clip, or for one group's channels,
+        would put two or more steps in it and fail this."""
+        self.check_workspace(monkeypatch, batch=3, groups=2, hw=10)
 
 
 def padded(a: np.ndarray, padding, value=0.0) -> np.ndarray:
@@ -346,7 +386,7 @@ def padded_conv(x: np.ndarray, spec: Conv3DSpec, w: np.ndarray) -> np.ndarray:
     xp = padded(x, spec.padding)
     n, shape = x.shape[0], Shape5(*x.shape)
     y = np.empty(spec.output_shape(shape), np.float32)
-    for tile in ops._time_tiles(spec, shape, n * (cg * math.prod(spec.kernel) + og)):
+    for tile in ops._time_tiles(spec, shape):
         for g in range(spec.groups):
             cs, os_ = slice(g * cg, (g + 1) * cg), slice(g * og, (g + 1) * og)
             cols = padded_cols(xp[:, cs], spec, tile)
@@ -355,16 +395,19 @@ def padded_conv(x: np.ndarray, spec: Conv3DSpec, w: np.ndarray) -> np.ndarray:
 
 
 def padded_conv_backward(x, spec, w, gout):
+    """The backward on a whole padded copy of the input, tile by tile, then
+    group by group, then clip by clip: the order in which the lowering adds
+    each tile's and clip's share into ``gw``."""
     cg, og = spec.in_channels // spec.groups, spec.out_channels // spec.groups
     kcols = cg * math.prod(spec.kernel)
     w = w.astype(ops.COMPUTE)
     xp = padded(x, spec.padding)
     gxp = np.zeros(xp.shape)
     gw = np.zeros((spec.out_channels, kcols))
-    for g in range(spec.groups):
-        cs, os_ = slice(g * cg, (g + 1) * cg), slice(g * og, (g + 1) * og)
-        for i in range(x.shape[0]):
-            for tile in ops._time_tiles(spec, Shape5(*x.shape), 2 * kcols + og):
+    for tile in ops._time_tiles(spec, Shape5(*x.shape)):
+        for g in range(spec.groups):
+            cs, os_ = slice(g * cg, (g + 1) * cg), slice(g * og, (g + 1) * og)
+            for i in range(x.shape[0]):
                 cols = padded_cols(xp[i : i + 1, cs], spec, tile)[0]
                 gmat = gout[i, os_, tile.ts].reshape(og, -1)
                 gw[os_] += gmat @ cols.T
