@@ -79,14 +79,17 @@ def _first_max(src: np.ndarray, plan: ops.TapPlan) -> tuple[np.ndarray, np.ndarr
 
 def pool3d_backward(x: Tensor5D, spec: PoolSpec, gout: np.ndarray) -> np.ndarray:
     """Max pooling routes each window's gradient to the first maximal element
-    in layout order; average pooling spreads it over the full kernel volume.
+    in layout order and skips nan, as ``ops.pool3d`` does: a window of only
+    nan or -inf routes to its tap 0, or to no one where that tap is padding.
+    Average pooling spreads it over the full kernel volume.
 
     The max branch works on ``ops._row_blocks`` of the input.  It takes the
     first maximal tap along w, then h, then t: in (t, h, w) order the first
     maximum per axis is the window's first maximum.  One ``np.bincount``
-    adds the gradients into their winners, ordered by tap, so each input
-    element sums its windows' gradients in the order a per-tap pass adds
-    them."""
+    adds the gradients into their winners in reverse output-site order: a
+    later window reads an element through a smaller offset on every axis,
+    so each element sums its windows' gradients in tap order, as a per-tap
+    pass adds them."""
     out_shape = spec.output_shape(x.shape)
     g = np.asarray(gout, dtype=COMPUTE).reshape(out_shape)
     if spec.kind == "avg":
@@ -97,7 +100,6 @@ def pool3d_backward(x: Tensor5D, spec: PoolSpec, gout: np.ndarray) -> np.ndarray
         return gx
     _, _, t, h, w = x.shape
     _, _, ot, oh, ow = out_shape
-    kt, kh, kw = spec.kernel
     # each output site's input step under tap 0, per axis
     t0 = (np.arange(ot) * spec.stride[0] - spec.padding[0])[:, None, None]
     h0 = (np.arange(oh) * spec.stride[1] - spec.padding[1])[:, None]
@@ -124,21 +126,15 @@ def pool3d_backward(x: Tensor5D, spec: PoolSpec, gout: np.ndarray) -> np.ndarray
         at *= w
         at += w0
         at += w_tap
-        tap = t_tap.astype(np.min_scalar_type(kt * kh * kw - 1))
-        tap *= kh
-        tap += h_tap
-        tap *= kw
-        tap += w_tap
-        at, tap, gr = at.ravel(), tap.ravel(), g_rows[r].ravel()
+        at, gr = at.ravel(), g_rows[r].ravel()
         # a window with nothing above -inf keeps tap 0, as a per-tap scan
         # does, and gives its gradient to no one where that tap is padding;
         # the clipped gathers above keep its steps in range until then
         lost = ((best == -np.inf) & padded0).ravel()
         if lost.any():
-            at, tap, gr = at[~lost], tap[~lost], gr[~lost]
-        # by tap, so that each element adds its windows' parts in tap order
-        order = np.argsort(tap, kind="stable")
-        gx_rows[r] = np.bincount(at[order], gr[order], gx_rows[r].size).reshape(n, -1)
+            at, gr = at[~lost], gr[~lost]
+        # reversed, so that each element adds its windows' parts in tap order
+        gx_rows[r] = np.bincount(at[::-1], gr[::-1], gx_rows[r].size).reshape(n, -1)
     return gx
 
 
@@ -501,8 +497,11 @@ class TrainConfig:
 
 def sgd_step(p: Parameter, grad: np.ndarray, lr: float) -> None:
     """One tensor's update: g <- clip(g); v <- MOMENTUM*v + g; w <- w - lr*v.
-    ``grad`` is clipped in place; the momentum starts at zero."""
+    ``grad`` is clipped in place, the momentum starts at zero, and a
+    non-finite norm raises ``FloatingPointError`` before any update."""
     norm = float(np.linalg.norm(grad))
+    if not math.isfinite(norm):
+        raise FloatingPointError("a gradient is not finite")
     if norm > GRAD_CLIP:
         grad *= GRAD_CLIP / norm
     if p.momentum is None:
@@ -520,7 +519,8 @@ def train_toy(
 ) -> tuple[list[dict], NetworkParams]:
     """Train on an in-memory dataset; the learning rate divides by
     ``LR_DECAY_FACTOR`` whenever the epoch loss fails to improve by
-    ``MIN_IMPROVEMENT`` for ``plateau_patience`` consecutive epochs."""
+    ``MIN_IMPROVEMENT`` for ``plateau_patience`` consecutive epochs.  A
+    non-finite loss or gradient raises a ValueError naming epoch and step."""
     if not dataset:
         raise ValueError("empty dataset")
     if g.num_classes is not None:
@@ -542,13 +542,20 @@ def train_toy(
     for epoch in range(cfg.epochs):
         order = rng.permutation(len(dataset))
         losses, hits = [], 0
-        for start in range(0, len(order), cfg.batch_size):
+        for step, start in enumerate(range(0, len(order), cfg.batch_size)):
             idx = order[start : start + cfg.batch_size]
             xb = Tensor5D(np.concatenate([dataset[i][0].data for i in idx], axis=0))
             yb = np.array([dataset[i][1] for i in idx])
-            acts = forward(g, params, xb)
-            # looked up per step, so a wrapper swapped in at autodiff.sgd_step runs
-            loss = backward(g, params, acts, yb, partial(sgd_step, lr=lr))
+            with np.errstate(all="ignore"):  # a diverged step overflows; the check names it
+                acts = forward(g, params, xb)
+                try:
+                    # looked up per step, so a wrapper swapped in at autodiff.sgd_step runs
+                    loss = backward(g, params, acts, yb, partial(sgd_step, lr=lr))
+                except FloatingPointError:  # a gradient norm sgd_step found not finite
+                    loss = math.nan
+            if not math.isfinite(loss):
+                raise ValueError(f"training diverged at epoch {epoch}, step {step}: "
+                                 "non-finite loss or gradient")
             hits += int((predict_scores(g, acts).argmax(axis=1) == yb).sum())
             losses.append(loss * len(idx))
         epoch_loss = sum(losses) / len(dataset)

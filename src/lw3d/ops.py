@@ -8,8 +8,9 @@ outputs agree to well under 1e-4, so each serves as an oracle for the other.
 No op copies its input padded.  ``_tap_plan`` clips each kernel tap to the
 output sites whose inputs exist and gives the strided view of the unpadded
 input they read; every conv and pool, forward and backward, works from it.
-Padded taps read zeros in the patch matrix, are skipped by pooling and get
-no gradient.
+A patch matrix starts at zero and only the taps' in-range regions are
+copied into it, so padded taps read zeros there; pooling skips them, and
+they get no gradient.
 
 Max pooling is separable: max is exact in any order, so ``pool3d`` and
 ``autodiff.pool3d_backward`` reduce along w, then h, then t, each pass over
@@ -154,15 +155,13 @@ class TapPlan(NamedTuple):
     each tap, in layout order, that reads any input: ``region`` indexes the
     output sites whose inputs exist and ``source`` the strided input view
     they read, both over the trailing (t, h, w) axes.  Every other site of a
-    tap is padding.  ``strips`` indexes, in the patch matrix's
-    ``(n, c, kt, kh, kw, t, h, w)`` view, the padding sites of each kernel
-    offset on each axis, shared by all the taps with that offset."""
+    tap is padding, which the plan does not list: a patch matrix starts at
+    zero, and pooling starts from its identity."""
 
     ts: slice
     dims: Triple
     kernel: Triple
     taps: tuple
-    strips: tuple
 
 
 @functools.lru_cache(maxsize=1024)
@@ -187,15 +186,7 @@ def _tap_plan(window, x_dims: Triple, t0: int, t1: int) -> TapPlan:
         region, source = zip(*parts)
         if all(r.start < r.stop for r in region):
             taps.append((k, (..., *region), (..., *source)))
-    strips = []
-    for a, offsets in enumerate(axes):
-        for d, (r, _) in enumerate(offsets):
-            for pad in (slice(0, r.start), slice(r.stop, dims[a])):
-                if pad.start < pad.stop:
-                    index = [slice(None)] * 6
-                    index[a], index[3 + a] = d, pad
-                    strips.append((..., *index))
-    return TapPlan(slice(t0, t1), tuple(dims), window.kernel, tuple(taps), tuple(strips))
+    return TapPlan(slice(t0, t1), tuple(dims), window.kernel, tuple(taps))
 
 
 def conv3d_direct(
@@ -225,16 +216,13 @@ def conv3d_direct(
 
 def _im2col(x: np.ndarray, plan: TapPlan) -> np.ndarray:
     """(n, c*kvol, L) patch matrix of one ``plan`` tile of the unpadded input
-    ``x``: each tap's region is copied from its view, and each offset's
-    padding strips are zeroed once, for all the taps that share it."""
+    ``x``.  It starts at zero and only each tap's in-range region is copied
+    from its view, so the padding sites stay zero."""
     n, c = x.shape[:2]
-    cols = np.empty((n, c, *plan.kernel, *plan.dims), dtype=COMPUTE)
-    flat = cols.reshape(n, c, -1, *plan.dims)
+    cols = np.zeros((n, c, math.prod(plan.kernel), *plan.dims), COMPUTE)
     for k, region, source in plan.taps:
-        flat[:, :, k][region] = x[source]
-    for strip in plan.strips:
-        cols[strip] = 0.0
-    return flat.reshape(n, -1, math.prod(plan.dims))
+        cols[:, :, k][region] = x[source]
+    return cols.reshape(n, -1, math.prod(plan.dims))
 
 
 def _col2im(gx: np.ndarray, plan: TapPlan, part):
@@ -336,19 +324,21 @@ def _row_blocks(x: np.ndarray) -> list[slice]:
 
 def _max_pass(src: np.ndarray, plan: TapPlan, out: np.ndarray | None = None) -> np.ndarray:
     """The max over one ``_axis_plans`` pass's taps of the rows ``src``,
-    into ``out`` if given.  Padded taps are skipped."""
+    into ``out`` if given.  Padded taps are skipped, and so is nan
+    (``np.fmax``), as ``autodiff._first_max`` skips it."""
     if out is None:
         out = np.empty((len(src), *plan.dims), src.dtype)
     out.fill(-np.inf)
     for _, region, source in plan.taps:
         acc = out[region]
-        np.maximum(acc, src[source], out=acc)
+        np.fmax(acc, src[source], out=acc)
     return out
 
 
 def pool3d(x: Tensor5D, spec: PoolSpec) -> Tensor5D:
-    """Max pooling ignores padding; average pooling counts it as zeros and
-    always divides by the full kernel volume.
+    """Max pooling ignores padding and nan: a window of only nan outputs
+    -inf.  Average pooling counts padding as zeros and always divides by the
+    full kernel volume.
 
     Max is exact in any order, so a max pool is three one-axis passes (w,
     then h, then t) over ``_row_blocks`` of the input: 3+3+3 taps for a

@@ -259,6 +259,23 @@ class TestOperatorGradients:
         gx = autodiff.pool3d_backward(Tensor5D(x), spec, gout)
         assert gx.tobytes() == first_max_pool_backward(x, spec, gout).tobytes()
 
+    def test_max_pool_skips_nan_forward_and_backward(self):
+        """Both directions skip nan: [1, nan, 3, 2] pools to 3.0, whose
+        element takes the gradient.  A window of nothing but nan is one with
+        nothing above -inf: it outputs -inf and routes to its tap 0, or to
+        no one where tap 0 is padding (the first of two windows here)."""
+        x = Tensor5D(np.array([1.0, np.nan, 3.0, 2.0]).reshape(1, 1, 1, 1, 4))
+        spec = PoolSpec("max", (1, 1, 4))
+        assert ops.pool3d(x, spec).data.ravel().tolist() == [3.0]
+        gx = autodiff.pool3d_backward(x, spec, np.full((1, 1, 1, 1, 1), 5.0))
+        assert gx.ravel().tolist() == [0.0, 0.0, 5.0, 0.0]
+
+        x = Tensor5D(np.full((1, 1, 1, 1, 3), np.nan))
+        spec = PoolSpec("max", (1, 1, 4), padding=(0, 0, 1))
+        assert ops.pool3d(x, spec).data.ravel().tolist() == [-np.inf, -np.inf]
+        gx = autodiff.pool3d_backward(x, spec, np.array([5.0, 7.0]).reshape(1, 1, 1, 1, 2))
+        assert gx.ravel().tolist() == [7.0, 0.0, 0.0]
+
     @pytest.mark.parametrize("spec", BUILDER_POOLS, ids=repr)
     def test_builder_pool_windows_match_finite_differences(self, spec):
         assert gradcheck._check_pool(np.random.default_rng(0), spec) <= 1e-2
@@ -664,6 +681,13 @@ class TestSgd:
         p = Parameter.of(np.zeros(4))
         sgd_step(p, np.full(4, 0.1), 1.0)
         assert p.value == pytest.approx(-0.1 * np.ones(4))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_gradient_raises_before_any_update(self, bad):
+        p = Parameter.of(np.zeros(2))
+        with pytest.raises(FloatingPointError, match="not finite"):
+            sgd_step(p, np.array([0.1, bad]), 1.0)
+        assert p.value.tolist() == [0.0, 0.0] and p.momentum is None
 
     @pytest.mark.parametrize("arch", ARCHS)
     def test_streamed_step_matches_two_phase(self, arch):

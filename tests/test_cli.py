@@ -1,11 +1,15 @@
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lw3d
 from lw3d import tensor
 from lw3d.analysis import module_cost
 from lw3d.autodiff import init_params, save_weights
@@ -28,6 +32,30 @@ def readme_commands() -> list[str]:
     block = text.split("## CLI examples", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
     lines = block.replace("\\\n", " ").splitlines()
     return [line for line in lines if line.startswith("lw3d ")]
+
+
+def fresh_python(*args) -> subprocess.CompletedProcess:
+    """``python *args`` in a new interpreter that imports this lw3d."""
+    src = str(Path(lw3d.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True,
+    )
+
+
+def test_import_loads_only_numpy_and_the_standard_library():
+    """lw3d is numpy-only, and perfbench's setup_s times a fresh import.
+    Only what the import adds counts: the interpreter's site set-up may
+    load more (certifi, for one)."""
+    done = fresh_python("-c", (
+        "import sys\nbefore = set(sys.modules)\nimport lw3d, lw3d.cli\n"
+        "print(*{m.split('.')[0] for m in set(sys.modules) - before})"
+    ))
+    assert done.returncode == 0, done.stderr
+    added = set(done.stdout.split())
+    assert "lw3d" in added
+    assert added - set(sys.stdlib_module_names) - {"numpy", "lw3d"} == set()
 
 
 def test_readme_examples_parse():
@@ -582,6 +610,23 @@ class TestTrainInferRoundTrip:
         for row in rows:
             assert len(row) == 2
             assert sum(float(v) for v in row) == pytest.approx(1.0, abs=1e-3)
+
+    def test_diverged_training_fails_and_writes_no_weights(self, tmp_path):
+        """At lr 1e6 the toy net's loss is nan from epoch 1 on.  The run stops
+        there with exit 2 and one stderr line, no numpy warning, and writes no
+        weight file, which infer would refuse."""
+        synth_dataset(2, 2, (3, 8, 32, 32), 0, str(tmp_path / "data"))
+        weights = tmp_path / "w.lw3d"
+        done = fresh_python(
+            "-m", "lw3d.cli", "train-toy", *TOY_NET, "--epochs", "4", "--lr", "1e6",
+            "--data", str(tmp_path / "data" / "manifest.tsv"), "--save-weights", str(weights),
+        )
+        assert done.returncode == 2
+        assert done.stderr == (
+            "lw3d: error: training diverged at epoch 1, step 0: non-finite loss or gradient\n"
+        )
+        assert done.stdout == ""
+        assert not weights.exists()
 
     def test_infer_rejects_mismatched_weights(self, capsys, tmp_path):
         data = tmp_path / "clip.lw3d"
