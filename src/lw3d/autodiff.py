@@ -37,13 +37,29 @@ def conv3d_backward(
     one stacked ``w.T @ gmat`` gives the tile's ``gcols``, added into the
     input steps it came from.  A tile's ``cols`` is freed before its
     ``gcols`` exists, and its ``gcols`` before the next tile's ``cols``."""
+    gx = np.zeros(x.shape, COMPUTE)
+    return gx, _conv_grads(x, spec, weights, gout, gx)
+
+
+def conv3d_weight_grad(
+    x: Tensor5D, spec: Conv3DSpec, weights: np.ndarray, gout: np.ndarray
+) -> np.ndarray:
+    """``conv3d_backward``'s weight gradient alone, from the same code: no
+    ``gcols``, no ``ops._col2im`` and no input-shaped buffer.  ``backward``
+    runs it for a conv that reads the graph input, whose gradient nobody
+    reads."""
+    return _conv_grads(x, spec, weights, gout, None)
+
+
+def _conv_grads(x: Tensor5D, spec: Conv3DSpec, weights, gout, gx) -> np.ndarray:
+    """The weight gradient, tile by tile; each tile's input gradient is added
+    into ``gx`` after its weight gradient, unless ``gx`` is None."""
     out_shape = spec.output_shape(x.shape)
     # cast once here: a float32 weight is cast again by every per-clip matmul,
     # which made the train-dense conv backwards 6% slower
     w = np.asarray(weights, dtype=COMPUTE)
     wmat = w.reshape(spec.groups, spec.out_channels // spec.groups, -1)
     g = np.asarray(gout, dtype=COMPUTE).reshape(out_shape)
-    gx = np.zeros(x.shape, COMPUTE)
     gw = np.zeros(wmat.shape, COMPUTE)
     for plan in ops._time_tiles(spec, x.shape):
         gmat = g[:, :, plan.ts].reshape(x.n, *wmat.shape[:2], -1)  # a view, not a copy
@@ -52,10 +68,11 @@ def conv3d_backward(
         for i in range(x.n):
             gw += gmat[i] @ cols[i].transpose(0, 2, 1)
         del cols
-        gcols = (wmat.transpose(0, 2, 1) @ gmat).reshape(x.n, x.c, -1, *plan.dims)
-        ops._col2im(gx, plan, lambda k, r: gcols[:, :, k][r])
-        del gcols
-    return gx, gw.reshape(w.shape)
+        if gx is not None:
+            gcols = (wmat.transpose(0, 2, 1) @ gmat).reshape(x.n, x.c, -1, *plan.dims)
+            ops._col2im(gx, plan, lambda k, r: gcols[:, :, k][r])
+            del gcols
+    return gw.reshape(w.shape)
 
 
 def _first_max(src: np.ndarray, plan: ops.TapPlan) -> tuple[np.ndarray, np.ndarray]:
@@ -295,6 +312,13 @@ def _conv_backward(layer: LayerSpec, p: NetworkParams, xs, gout, step) -> list[n
     return [gx]
 
 
+def _conv_weight_backward(layer: LayerSpec, p: NetworkParams, xs, gout, step) -> list:
+    """``_conv_backward`` of a conv that reads the graph input: it steps the
+    weights and returns no input gradient."""
+    step(p.conv[layer.id], conv3d_weight_grad(xs[0], layer.params, p.conv[layer.id].value, gout))
+    return []
+
+
 def _bn_forward(layer: LayerSpec, p: NetworkParams, xs) -> Tensor5D:
     st = p.bn[layer.id]
     return ops.batchnorm_infer(xs[0], st.gamma.value, st.beta.value, st.mean, st.var)
@@ -395,16 +419,21 @@ def forward(
     id.  With ``around``, each executed step's activation is ``around(layer,
     inputs, run)``, where ``run()`` computes it; a folded chain is one step of
     its conv, whose ``run()`` yields the relu output (``g.chains[layer.id]``
-    names the bn and the relu)."""
+    names the bn and the relu).
+
+    The input is held only in ``acts``, so with ``keep`` given it is dropped
+    after its last reader like any other activation.  Its memory goes then
+    unless the caller still holds it.  A temporary, as in ``forward(g, p,
+    sample(...), keep=...)``, has no other holder on CPython 3.11 and
+    later, which moves call arguments into the callee's frame."""
     chains = {}
     if keep is not None:
         chains = {c: ids for c, ids in g.chains.items() if c not in keep and ids[0] not in keep}
     folded = {lid for ids in chains.values() for lid in ids}  # run by their conv
-    acts = {}
+    acts = {layer.id: x for layer in g.layers if layer.kind == "input"}
+    del x  # acts holds the input alone, so g.frees can drop it
     for layer in g.layers:
-        if layer.kind == "input":
-            acts[layer.id] = x
-        elif layer.id not in folded:
+        if layer.kind != "input" and layer.id not in folded:
             xs = [_resolve(acts, g, r) for r in layer.inputs]
             target, run = layer.id, partial(KINDS[layer.kind][0], layer, p, xs)
             if layer.id in chains:  # a folded conv stores its relu's output
@@ -435,7 +464,10 @@ def backward(
     """Cross-entropy loss of the averaged softmax scores; returns the mean
     loss.  Each parameter tensor the loss reaches gets one ``step(param,
     grad)`` call, in reverse layer order, once its layer's backward has
-    computed the gradient and read the parameter for the last time.
+    computed the gradient and read the parameter for the last time.  Nobody
+    reads the input's gradient, so none is computed: a conv that reads the
+    input runs ``conv3d_weight_grad``, and nothing is added into an
+    input-shaped buffer.
 
     The loss gradient is seeded directly at the classifier logits by
     ``site_xent``: differentiating through the stored float32 softmax
@@ -447,9 +479,12 @@ def backward(
     logits_ref = out_layer.inputs[0]
     loss, seed = site_xent(_resolve(acts, g, logits_ref).data, np.asarray(labels))
     grads: dict[str, np.ndarray] = {}
+    inputs = {layer.id for layer in g.layers if layer.kind == "input"}
 
     def add_to(ref: str, val: np.ndarray):
         base, channels = g.ports[ref]
+        if base in inputs:  # nobody reads the input's gradient
+            return
         if base not in grads:
             grads[base] = np.zeros(tuple(acts[base].shape), dtype=COMPUTE)
         grads[base][:, channels] += val
@@ -460,6 +495,8 @@ def backward(
             continue
         xs = [_resolve(acts, g, r) for r in layer.inputs]
         back = KINDS[layer.kind][1]
+        if layer.kind == "conv" and g.ports[layer.inputs[0]][0] in inputs:
+            back = _conv_weight_backward
         for ref, gx in zip(layer.inputs, back(layer, p, xs, grads.pop(layer.id), step)):
             add_to(ref, gx)
     return loss

@@ -100,21 +100,18 @@ def _network_from_args(args) -> graph.ModuleGraph:
         raise ValueError(f"{source}: {e}") from None
 
 
-def _load_clips(records, g: graph.ModuleGraph, match_t: bool) -> list[Tensor5D]:
-    """Each record's clip through ``dataio.load_clip``; one clip per file, and
+def _load_clip(record, g: graph.ModuleGraph, match_t: bool) -> Tensor5D:
+    """The record's clip through ``dataio.load_clip``; one clip per file, and
     its C, H and W, and its T when ``match_t``, equal to the network input's."""
     want = g.input_shape
-    clips = []
-    for r in records:
-        x = dataio.load_clip(r)
-        if x.shape != want._replace(t=want.t if match_t else x.t):
-            dims = "N, C, T, H or W" if match_t else "N, C, H or W"
-            raise ValueError(
-                f"{r.path}: clip {tuple(x.shape)} differs from the network input "
-                f"{tuple(want)} in {dims}"
-            )
-        clips.append(x)
-    return clips
+    x = dataio.load_clip(record)
+    if x.shape != want._replace(t=want.t if match_t else x.t):
+        dims = "N, C, T, H or W" if match_t else "N, C, H or W"
+        raise ValueError(
+            f"{record.path}: clip {tuple(x.shape)} differs from the network input "
+            f"{tuple(want)} in {dims}"
+        )
+    return x
 
 
 def cmd_analyze(args) -> int:
@@ -266,7 +263,7 @@ def cmd_train_toy(args) -> int:
                 f"{args.data}: {r.path}: label {r.label} is not one of the "
                 f"network's {g.num_classes} classes"
             )
-    dataset = list(zip(_load_clips(records, g, match_t=True), (r.label for r in records)))
+    dataset = [(_load_clip(r, g, match_t=True), r.label) for r in records]
     history, params = autodiff.train_toy(g, dataset, cfg, seed=args.seed)
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["epoch", "loss", "accuracy", "lr"])
@@ -280,6 +277,12 @@ def cmd_train_toy(args) -> int:
 
 
 def cmd_infer(args) -> int:
+    """Score each clip as the mean of its ``--windows`` windows' softmax
+    scores.  One clip at a time: each is loaded, checked and scored before
+    the next is read, and ``forward`` frees each window after the stem.
+    The rows are printed once every clip is scored, so a clip that does not
+    fit, or whose scores are not finite, stops the command (exit 2) with no
+    row printed."""
     g = _network_from_args(args)
     params = (
         autodiff.load_weights(args.weights, g)
@@ -290,19 +293,35 @@ def cmd_infer(args) -> int:
         records = dataio.read_manifest(args.manifest)
     else:
         records = [dataio.ClipRecord(args.tensor, 0)]  # infer reads no label
-    clips = _load_clips(records, g, match_t=False)  # windows are sampled to T
     rng = np.random.default_rng(args.seed)
+    rows = [_clip_scores(g, params, r, args.windows, rng) for r in records]
     writer = csv.writer(sys.stdout, lineterminator="\n")
-    keep = {g.output_id}  # the scores read nothing else
-    for clip in clips:
-        scores = np.zeros(g.num_classes, dtype=np.float64)
-        for _ in range(args.windows):
-            seed = int(rng.integers(0, 2**31 - 1))
-            win = dataio.sample_clip(clip, g.input_shape.t, seed)
-            acts = autodiff.forward(g, params, win, keep=keep)
-            scores += autodiff.predict_scores(g, acts)[0]
-        writer.writerow([f"{v:.6f}" for v in scores / args.windows])
+    for scores in rows:
+        writer.writerow([f"{v:.6f}" for v in scores])
     return 0
+
+
+def _clip_scores(
+    g: graph.ModuleGraph, params: autodiff.NetworkParams, record: dataio.ClipRecord,
+    windows: int, rng: np.random.Generator,
+) -> np.ndarray:
+    """The record's class scores, averaged over ``windows`` windows whose
+    seeds ``rng`` draws in turn."""
+    clip = _load_clip(record, g, match_t=False)  # windows are sampled to T
+    keep = {g.output_id}  # the scores read nothing else
+    scores = np.zeros(g.num_classes, dtype=np.float64)
+    with np.errstate(all="ignore"):  # an overflow shows in the scores, checked below
+        for _ in range(windows):
+            seed = int(rng.integers(0, 2**31 - 1))
+            # passed unnamed, so the forward holds the window's only reference
+            acts = autodiff.forward(
+                g, params, dataio.sample_clip(clip, g.input_shape.t, seed), keep=keep
+            )
+            scores += autodiff.predict_scores(g, acts)[0]
+    scores /= windows
+    if not np.isfinite(scores).all():
+        raise ValueError(f"{record.path}: the clip's scores are not finite")
+    return scores
 
 
 def cmd_bench(args) -> int:
@@ -323,6 +342,17 @@ def cmd_bench(args) -> int:
     )
     # ru_maxrss is in KiB on Linux
     print(f"peak RSS {resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024:.1f} MB")
+    # RSS moves with the allocator's reuse; the bytes one forward allocates do
+    # not.  Imported here, so no other command pays for the import.
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        autodiff.forward(g, params, x, keep={g.output_id})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    print(f"traced peak {peak / 2**20:.1f} MiB")
     return 0
 
 

@@ -6,6 +6,7 @@ import math
 import struct
 import sys
 import tracemalloc
+import weakref
 from functools import partial
 from pathlib import Path
 
@@ -319,6 +320,18 @@ class TestOperatorGradients:
             assert np.array_equal(gx[i : i + 1], gx_i)
         gw_sum = sum(gw_i for _, gw_i in per_clip)
         assert np.abs(gw - gw_sum).max() <= 1e-12 * np.abs(gw_sum).max()
+
+    @pytest.mark.parametrize("spec", STRIDED_CONVS, ids=repr)
+    def test_conv_weight_grad_is_conv_backwards_gw_and_scatters_nothing(self, spec, monkeypatch):
+        rng = np.random.default_rng(6)
+        x = Tensor5D(rng.standard_normal((2, spec.in_channels, 5, 6, 7)))
+        w = rng.standard_normal(spec.weight_shape).astype(np.float32)
+        gout = rng.standard_normal(tuple(spec.output_shape(x.shape)))
+        monkeypatch.setattr(ops, "TILE_BYTES", 1)  # a tile per output step
+        _, gw = autodiff.conv3d_backward(x, spec, w, gout)
+        calls = count_calls(monkeypatch, [(ops, "_col2im")])
+        assert autodiff.conv3d_weight_grad(x, spec, w, gout).tobytes() == gw.tobytes()
+        assert calls["_col2im"] == []
 
     def test_avg_pool_spreads_uniformly(self):
         x = Tensor5D(np.zeros((1, 1, 2, 2, 2), dtype=np.float32))
@@ -661,6 +674,48 @@ class TestEndToEndBackward:
                 trimmed, params, forward(trimmed, params, x), np.array([0, 1]),
                 collecting_step()[0],
             )
+
+
+    @pytest.mark.parametrize("arch", ARCHS)
+    def test_no_gradient_of_the_input_is_computed(self, arch, monkeypatch):
+        """Nobody reads the input's gradient: the conv that reads the input
+        computes only its weight gradient, and nothing scatters into or
+        allocates an input-shaped buffer.  Every parameter still steps."""
+        g = toy_net(arch)
+        p = init_params(g, 0)
+        acts = forward(g, p, Tensor5D(np.ones(TOY_SHAPE, np.float32)))
+        calls = count_calls(monkeypatch, [
+            (autodiff, "conv3d_weight_grad"), (autodiff, "conv3d_backward"),
+            (ops, "_col2im"), (np, "zeros"),
+        ])
+        step, grads = collecting_step()
+        backward(g, p, acts, np.array([1]), step)
+        convs = [layer for layer in g.layers if layer.kind == "conv"]
+        stem = [layer for layer in convs if g.ports[layer.inputs[0]][0] == g.layers[0].id]
+        assert len(stem) == 1
+        assert [args[0].shape for args, _ in calls["conv3d_weight_grad"]] == [TOY_SHAPE]
+        assert len(calls["conv3d_backward"]) == len(convs) - 1
+        assert all(args[0].shape != TOY_SHAPE for args, _ in calls["conv3d_backward"])
+        assert all(args[0].shape != TOY_SHAPE for args, _ in calls["_col2im"])
+        assert not any(args and args[0] == TOY_SHAPE for args, _ in calls["zeros"])
+        assert len(grads) == len(parameter_tensors(p))
+
+    def test_no_input_shaped_buffer_where_a_pool_reads_the_input(self, monkeypatch):
+        shape = Shape5(1, 2, 2, 4, 4)
+        g = ModuleGraph([
+            LayerSpec("in", "input", shape),
+            LayerSpec("p0", "pool", PoolSpec("max", (1, 2, 2), (1, 2, 2)), ["in"]),
+            LayerSpec("c1", "conv", Conv3DSpec(2, 4, (1, 1, 1)), ["p0"]),
+            LayerSpec("out", "softmax", None, ["c1"]),
+        ], "i3d", num_classes=4)
+        p = init_params(g, 0)
+        x = Tensor5D(np.random.default_rng(2).standard_normal(shape).astype(np.float32))
+        acts = forward(g, p, x)
+        calls = count_calls(monkeypatch, [(np, "zeros")])
+        step, grads = collecting_step()
+        backward(g, p, acts, np.array([1]), step)
+        assert not any(args and args[0] == shape for args, _ in calls["zeros"])
+        assert len(grads) == 1
 
 
 class TestSgd:
@@ -1139,6 +1194,29 @@ class TestLiveness:
         ]
         assert list(kept) == ["out"]
         assert kept["out"].data.tobytes() == full["out"].data.tobytes()
+
+    @pytest.mark.skipif(
+        sys.version_info < (3, 11),
+        reason="before CPython 3.11 the caller's stack holds a call's temporary "
+        "arguments until the call returns, so the input outlives its last reader",
+    )
+    def test_a_temporary_input_is_freed_after_its_last_reader(self):
+        """The forward holds its input only in ``acts``, so a ``keep``
+        forward given a temporary frees it after the stem, its one reader."""
+        g = toy_net()
+        refs, alive = [], []
+
+        def temporary():
+            x = Tensor5D(np.ones(TOY_SHAPE, np.float32))
+            refs.append(weakref.ref(x.data))
+            return x
+
+        def around(layer, xs, run):
+            alive.append(refs[0]() is not None)
+            return run()
+
+        forward(g, init_params(g, 0), temporary(), around=around, keep={g.output_id})
+        assert alive[:2] == [True, False]
 
     def test_keep_holds_the_listed_ids_and_an_unread_layer_is_dropped(self):
         g = fan_out_graph()

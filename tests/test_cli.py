@@ -1,9 +1,12 @@
 import json
+import math
 import os
 import re
 import shlex
 import subprocess
 import sys
+import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +17,7 @@ from lw3d import tensor
 from lw3d.analysis import module_cost
 from lw3d.autodiff import init_params, save_weights
 from lw3d.cli import build_parser, main
-from lw3d.dataio import synth_clip, synth_dataset
+from lw3d.dataio import synth_clip, synth_dataset, write_manifest
 from lw3d.graph import ARCHS, WIDTH_TABLE, InceptionWidths, build_network
 from lw3d.tensor import Shape5, Tensor5D
 
@@ -688,6 +691,65 @@ class TestTrainInferRoundTrip:
         assert "--manifest: not allowed with argument --tensor" in capsys.readouterr().err
 
 
+class TestInferOneClipAtATime:
+    """``infer`` loads, checks and scores one clip before it reads the next,
+    and prints its rows only once every clip is scored."""
+
+    def test_more_clips_raise_the_traced_peak_by_less_than_one_clip(self, capsys, tmp_path):
+        shape = (3, 12, 32, 32)  # longer than the input, so each window is a copy
+        records = synth_dataset(2, 2, shape, 0, str(tmp_path / "data"))
+        write_manifest(tmp_path / "one.tsv", records[:1])
+
+        def peak(manifest):
+            tracemalloc.start()
+            try:
+                code = main(["infer", *TOY_NET, "--manifest", str(manifest), "--windows", "2"])
+                return code, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(tmp_path / "one.tsv")  # fills the tap-plan caches
+        (code_one, one), (code_four, four) = (
+            peak(tmp_path / "one.tsv"), peak(tmp_path / "data" / "manifest.tsv")
+        )
+        assert (code_one, code_four) == (0, 0)
+        assert len(capsys.readouterr().out.splitlines()) == 1 + 1 + 4
+        assert four - one < math.prod(shape) * 4
+
+    def test_a_later_clip_that_does_not_fit_prints_no_row(self, capsys, tmp_path):
+        records = synth_dataset(2, 2, (3, 8, 32, 32), 0, str(tmp_path / "data"))
+        rng = np.random.default_rng(0)
+        tensor.save_tensor(records[1].path, synth_clip(1, 2, (3, 8, 16, 16), rng))
+        code, out, err = run(
+            capsys, "infer", *TOY_NET, "--manifest", str(tmp_path / "data" / "manifest.tsv")
+        )
+        assert code == 2
+        assert err.startswith(f"lw3d: error: {records[1].path}: clip ")
+        assert len(err.strip().splitlines()) == 1
+        assert out == ""
+
+    def test_scores_that_are_not_finite_name_the_clip(self, capsys, tmp_path):
+        """Conv weights near the float32 limit load (each value is finite)
+        but overflow in the forward: one line naming the clip, no row and no
+        numpy warning."""
+        records = synth_dataset(2, 1, (3, 8, 32, 32), 0, str(tmp_path / "data"))
+        g = build_network("gsst", Shape5(1, 3, 8, 32, 32), 2, 0.125)
+        p = init_params(g, 0)
+        for par in p.conv.values():
+            par.value = np.full(par.value.shape, 3e38, np.float32)
+        weights = tmp_path / "w.lw3d"
+        save_weights(weights, g, p)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(
+                capsys, "infer", *TOY_NET, "--weights", str(weights),
+                "--manifest", str(tmp_path / "data" / "manifest.tsv"),
+            )
+        assert code == 2
+        assert out == ""
+        assert err == f"lw3d: error: {records[0].path}: the clip's scores are not finite\n"
+
+
 class TestClipShapeContract:
     """Every clip a command reads goes through ``dataio.load_clip`` and must fit
     the network input: C, H and W always, T as well for training (``infer``
@@ -786,3 +848,12 @@ class TestBench:
         assert "median forward" in out
         assert "nondeterministic" in out
         assert re.search(r"^peak RSS \d+\.\d MB$", out, re.M)
+
+    def test_reports_the_traced_peak_of_one_forward(self, capsys):
+        code, out, _ = run(
+            capsys, "bench", "--arch", "gsst", "--input", "3x8x32x32",
+            "--classes", "2", "--width-mult", "0.125",
+            "--batch", "1", "--repeat", "1",
+        )
+        assert code == 0
+        assert re.search(r"^peak RSS \d+\.\d MB\ntraced peak \d+\.\d MiB$", out, re.M)
