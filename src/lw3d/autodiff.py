@@ -156,19 +156,27 @@ def pool3d_backward(x: Tensor5D, spec: PoolSpec, gout: np.ndarray) -> np.ndarray
 
 
 def relu_backward(x: Tensor5D, gout: np.ndarray) -> np.ndarray:
+    """``gout`` where ``x > 0``, else 0.  ``x`` may be the relu's input or
+    its output: ``relu(z) > 0`` holds exactly where ``z > 0`` for every
+    float32 ``z``, nan, ±0 and ±inf included, so ``backward`` passes the
+    output and a training forward need not keep the input."""
     return np.asarray(gout, dtype=COMPUTE) * (x.data > 0)
 
 
 def batchnorm_backward(
     x: Tensor5D, gamma, mean, var, gout: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients with frozen mean/variance: input, gamma, beta."""
+    """Gradients with frozen mean/variance: input, gamma, beta.  ``xhat``
+    is built, multiplied by the gradient and summed in one float64 buffer,
+    so the call holds two input-sized temporaries, that and ``gx``."""
     gamma, mean, var = (np.asarray(v, dtype=COMPUTE) for v in (gamma, mean, var))
     g = np.asarray(gout, dtype=COMPUTE).reshape(x.data.shape)
     inv = 1.0 / np.sqrt(var + BN_EPS)
-    xhat = (x.data - mean.reshape(1, -1, 1, 1, 1)) * inv.reshape(1, -1, 1, 1, 1)
     gx = g * (gamma * inv).reshape(1, -1, 1, 1, 1)
-    ggamma = (g * xhat).sum(axis=(0, 2, 3, 4))
+    xhat = np.subtract(x.data, mean.reshape(1, -1, 1, 1, 1), dtype=COMPUTE)
+    xhat *= inv.reshape(1, -1, 1, 1, 1)
+    xhat *= g
+    ggamma = xhat.sum(axis=(0, 2, 3, 4))
     gbeta = g.sum(axis=(0, 2, 3, 4))
     return gx, ggamma, gbeta
 
@@ -333,8 +341,11 @@ def _bn_backward(layer: LayerSpec, p: NetworkParams, xs, gout, step) -> list[np.
 
 
 # kind -> (forward(layer, params, inputs) -> activation, backward(layer, params,
-# inputs, gout, step) -> one gradient per input; conv and bn also hand each of
-# their parameter gradients to ``step``).  Each entry looks its op up
+# xs, gout, step) -> one gradient per input; conv and bn also hand each of
+# their parameter gradients to ``step``).  A backward's ``xs`` is what it reads
+# (``ModuleGraph.train_keep``): conv, bn and pool get their inputs, relu its
+# own output, and shuffle, split and concat their inputs' shapes, of which they
+# use only the channel counts.  Each entry looks its op up
 # when called, so a function swapped in at its module attribute (a tracer, the
 # conv3d_direct oracle) runs.  softmax has no backward: the loss seeds its input.
 KINDS = {
@@ -411,12 +422,14 @@ def forward(
 ) -> dict[str, Tensor5D]:
     """Run the graph, returning the activations keyed by layer id.
 
-    ``keep=None`` runs every layer and keeps every activation, which
-    ``backward`` reads.  Any other collection of ids keeps only those and the
-    output, drops every other activation once its last reader has run
-    (``g.frees``) and runs each ``g.chains`` conv -> bn -> relu whose conv and
-    bn ids are not kept as one conv (``_conv_bn_relu``) stored under the relu's
-    id.  With ``around``, each executed step's activation is ``around(layer,
+    ``keep=None`` runs every layer and keeps every activation.  Any other
+    collection of ids keeps only those and the output, drops every other
+    activation once its last reader has run (``g.frees``) and runs each
+    ``g.chains`` conv -> bn -> relu whose conv and bn ids are not kept as one
+    conv (``_conv_bn_relu``) stored under the relu's id.  Training keeps
+    ``g.train_keep``, what ``backward`` reads: every conv id is in it, so no
+    chain folds, and each chain's bn output goes once its relu has run.
+    With ``around``, each executed step's activation is ``around(layer,
     inputs, run)``, where ``run()`` computes it; a folded chain is one step of
     its conv, whose ``run()`` yields the relu output (``g.chains[layer.id]``
     names the bn and the relu).
@@ -469,6 +482,13 @@ def backward(
     input runs ``conv3d_weight_grad``, and nothing is added into an
     input-shaped buffer.
 
+    ``backward`` consumes ``acts``: it reads only ``g.train_keep`` and pops
+    each of those after its last backward reader (``g.back_frees``), so
+    after a training forward only the output is left.  The other
+    activations of a ``keep=None`` forward stay until the caller drops
+    ``acts``.  Gradient buffers take their shapes from ``g.shapes`` at the
+    batch's size.
+
     The loss gradient is seeded directly at the classifier logits by
     ``site_xent``: differentiating through the stored float32 softmax
     activation underflows to an exact zero gradient once the softmax
@@ -478,27 +498,40 @@ def backward(
         raise ValueError("graph must end in a softmax layer")
     logits_ref = out_layer.inputs[0]
     loss, seed = site_xent(_resolve(acts, g, logits_ref).data, np.asarray(labels))
+    n = len(seed)
     grads: dict[str, np.ndarray] = {}
     inputs = {layer.id for layer in g.layers if layer.kind == "input"}
+
+    def shape(ref: str) -> Shape5:
+        base, channels = g.ports[ref]
+        s = g.shapes[base]
+        return s._replace(n=n, c=len(range(s.c)[channels]))
 
     def add_to(ref: str, val: np.ndarray):
         base, channels = g.ports[ref]
         if base in inputs:  # nobody reads the input's gradient
             return
         if base not in grads:
-            grads[base] = np.zeros(tuple(acts[base].shape), dtype=COMPUTE)
+            grads[base] = np.zeros(tuple(g.shapes[base]._replace(n=n)), dtype=COMPUTE)
         grads[base][:, channels] += val
 
     add_to(logits_ref, seed)
-    for layer in reversed(g.layers):
-        if layer.kind == "input" or layer.id not in grads:
-            continue
-        xs = [_resolve(acts, g, r) for r in layer.inputs]
-        back = KINDS[layer.kind][1]
-        if layer.kind == "conv" and g.ports[layer.inputs[0]][0] in inputs:
-            back = _conv_weight_backward
-        for ref, gx in zip(layer.inputs, back(layer, p, xs, grads.pop(layer.id), step)):
-            add_to(ref, gx)
+    for layer in reversed(g.layers):  # the softmax's entry frees the logits
+        if layer.id in grads:
+            if layer.kind == "relu":
+                xs = [acts[layer.id]]
+            elif layer.kind in ("conv", "bn", "pool"):
+                xs = [_resolve(acts, g, r) for r in layer.inputs]
+            else:
+                xs = [shape(r) for r in layer.inputs]
+            back = KINDS[layer.kind][1]
+            if layer.kind == "conv" and g.ports[layer.inputs[0]][0] in inputs:
+                back = _conv_weight_backward
+            for ref, gx in zip(layer.inputs, back(layer, p, xs, grads.pop(layer.id), step)):
+                add_to(ref, gx)
+            del xs  # it would hold the activations popped below
+        for lid in g.back_frees[layer.id]:
+            del acts[lid]
     return loss
 
 
@@ -557,7 +590,10 @@ def train_toy(
     """Train on an in-memory dataset; the learning rate divides by
     ``LR_DECAY_FACTOR`` whenever the epoch loss fails to improve by
     ``MIN_IMPROVEMENT`` for ``plateau_patience`` consecutive epochs.  A
-    non-finite loss or gradient raises a ValueError naming epoch and step."""
+    non-finite loss or gradient raises a ValueError naming epoch and step.
+    Each step's forward keeps only ``g.train_keep``, what ``backward``
+    reads, and ``backward`` leaves the output, from which the step's
+    accuracy is counted."""
     if not dataset:
         raise ValueError("empty dataset")
     if g.num_classes is not None:
@@ -584,7 +620,7 @@ def train_toy(
             xb = Tensor5D(np.concatenate([dataset[i][0].data for i in idx], axis=0))
             yb = np.array([dataset[i][1] for i in idx])
             with np.errstate(all="ignore"):  # a diverged step overflows; the check names it
-                acts = forward(g, params, xb)
+                acts = forward(g, params, xb, keep=g.train_keep)
                 try:
                     # looked up per step, so a wrapper swapped in at autodiff.sgd_step runs
                     loss = backward(g, params, acts, yb, partial(sgd_step, lr=lr))

@@ -97,8 +97,10 @@ class ModuleGraph:
         references and records what every read reference resolves to
         (``ports``), every layer's output shape (``shapes``; a shape fault
         raises ``ShapeError``), when every activation is last read
-        (``frees``) and which convs an inference forward may fold with
-        their bn and relu (``chains``)."""
+        (``frees``), which convs an inference forward may fold with their
+        bn and relu (``chains``), which activations a training forward keeps
+        (``train_keep``) and after which layer's backward each is last read
+        (``back_frees``)."""
         self._by_id = {}
         self.ports: dict[str, tuple[str, slice]] = {}
         self.shapes: dict[str, Shape5] = {}
@@ -147,6 +149,25 @@ class ModuleGraph:
             relu = readers.get(bn[0].id, [])
             if [r.kind for r in relu] == ["relu"]:
                 self.chains[layer.id] = (bn[0].id, relu[0].id)
+        # the activations some backward reads, and the output: conv, bn and
+        # pool read their inputs, a relu its own output (relu(z) > 0 exactly
+        # where z > 0), and the loss, at the softmax, the logits.  A chain's
+        # bn output is read by its relu's forward alone.  Backward runs in
+        # reverse, so an activation's first reader here is its last there.
+        keep = {self.output_id}
+        self.back_frees: dict[str, list[str]] = {layer.id: [] for layer in self.layers}
+        for layer in self.layers:
+            if layer.kind == "relu":
+                reads = [layer.id]
+            elif layer.kind in ("conv", "bn", "pool", "softmax"):
+                reads = [self.ports[ref][0] for ref in layer.inputs]
+            else:  # shuffle, split and concat need only their channel counts
+                reads = []
+            for lid in reads:
+                if lid not in keep:
+                    keep.add(lid)
+                    self.back_frees[layer.id].append(lid)
+        self.train_keep = frozenset(keep)
 
     def layer(self, layer_id: str) -> LayerSpec:
         return self._by_id[layer_id]

@@ -1230,6 +1230,158 @@ class TestLiveness:
         assert list(forward(dead, p, x, keep={"sp", "a"})) == ["sp", "a", "out"]
 
 
+class RecordingActs(dict):
+    """An ``acts`` table that logs each lookup and each deletion, in order."""
+
+    def __init__(self, acts, log):
+        super().__init__(acts)
+        self.log = log
+
+    def __getitem__(self, key):
+        self.log.append(("read", key))
+        return super().__getitem__(key)
+
+    def __delitem__(self, key):
+        self.log.append(("free", key))
+        super().__delitem__(key)
+
+
+class TestTrainingLiveness:
+    """A training step keeps only what some backward reads
+    (``ModuleGraph.train_keep``), and ``backward`` pops each activation after
+    its last backward reader (``ModuleGraph.back_frees``)."""
+
+    @staticmethod
+    def calibrated(arch):
+        g = toy_net(arch)
+        data = toy_dataset(2)
+        x = Tensor5D(np.concatenate([clip.data for clip, _ in data]))
+        p = init_params(g, 0)
+        calibrate_init(g, p, x)
+        return g, p, x, np.array([label for _, label in data])
+
+    @staticmethod
+    def backward_reads(g, layer):
+        """What a layer's backward reads: conv, bn and pool their inputs, a
+        relu its output, the loss (at the softmax) the logits."""
+        if layer.kind == "relu":
+            return {layer.id}
+        if layer.kind in ("conv", "bn", "pool", "softmax"):
+            return {g.ports[ref][0] for ref in layer.inputs}
+        return set()
+
+    def test_relu_backward_takes_the_same_mask_from_its_output(self):
+        tiny = np.finfo(np.float32).smallest_subnormal
+        values = np.array(
+            [np.nan, -np.nan, 0.0, -0.0, np.inf, -np.inf, tiny, -tiny, 3 * tiny,
+             np.finfo(np.float32).tiny, -1.5, 2.5, np.finfo(np.float32).max], np.float32,
+        )
+        x = Tensor5D(np.resize(values, (2, 3, 2, 2, 2)))
+        gout = np.random.default_rng(0).standard_normal(x.shape)
+        got = autodiff.relu_backward(tensor.relu(x), gout)
+        assert got.tobytes() == autodiff.relu_backward(x, gout).tobytes()
+
+    def test_fan_out_graph_tables_by_hand(self):
+        g = fan_out_graph()
+        # c1's output is read only by r1's forward; sh, sp and cat read
+        # only channel counts
+        assert g.train_keep == {"in", "r1", "a", "b", "cat", "out"}
+        assert {lid: ids for lid, ids in g.back_frees.items() if ids} == {
+            "c1": ["in"], "r1": ["r1"], "a": ["a"], "b": ["b"], "out": ["cat"],
+        }
+
+    @pytest.mark.parametrize("arch", ARCHS)
+    def test_a_training_forward_holds_no_chain_bn_output(self, arch):
+        g, p, x, _ = self.calibrated(arch)
+        acts = forward(g, p, x, keep=g.train_keep)
+        assert set(acts) == g.train_keep
+        assert not {bn for bn, _ in g.chains.values()} & set(acts)
+        assert set(g.chains) <= set(acts)  # every conv is kept, so none folds
+
+    def test_train_toy_keeps_the_compiled_set(self, monkeypatch):
+        g = toy_net()
+        keeps = []
+        real = autodiff.forward
+
+        def spy(g, p, x, around=None, keep=None):
+            keeps.append(keep)
+            return real(g, p, x, around=around, keep=keep)
+
+        monkeypatch.setattr(autodiff, "forward", spy)
+        train_toy(g, toy_dataset(4), TrainConfig(learning_rate=0.01, epochs=1, batch_size=2))
+        assert keeps[1:] == [g.train_keep, g.train_keep]  # after calibration's
+
+    @pytest.mark.parametrize("arch", ARCHS)
+    def test_each_backward_reads_and_frees_what_the_tables_say(self, arch, monkeypatch):
+        g, p, x, labels = self.calibrated(arch)
+        log = []
+
+        def logged(back):
+            def spy(layer, *args):
+                log.append(("back", layer.id))
+                return back(layer, *args)
+            return spy
+
+        for kind, (fwd, back) in autodiff.KINDS.items():
+            if back is not None:
+                monkeypatch.setitem(autodiff.KINDS, kind, (fwd, logged(back)))
+        monkeypatch.setattr(autodiff, "_conv_weight_backward",
+                            logged(autodiff._conv_weight_backward))
+        real_xent = autodiff.site_xent
+
+        def xent(*args):  # the loss is the softmax layer's backward
+            log.append(("back", g.output_id))
+            return real_xent(*args)
+
+        monkeypatch.setattr(autodiff, "site_xent", xent)
+        acts = RecordingActs(forward(g, p, x, keep=g.train_keep), log)
+        backward(g, p, acts, labels, collecting_step()[0])
+        # a layer's reads come just before its backward, its frees just after
+        reads, frees, pending, owner = {}, {lid: [] for lid in g.back_frees}, [], None
+        for event, key in log:
+            if event == "read":
+                pending.append(key)
+            elif event == "back":
+                reads[key], pending, owner = set(pending), [], key
+            else:
+                frees[owner].append(key)
+        layers = [layer for layer in g.layers if layer.kind != "input"]
+        assert reads == {layer.id: self.backward_reads(g, layer) for layer in layers}
+        assert set().union(*reads.values()) == g.train_keep - {g.output_id}
+        assert frees == g.back_frees
+        assert all(set(frees[lid]) <= reads[lid] for lid in reads)
+        assert set(acts) == {g.output_id}
+
+    @pytest.mark.parametrize("arch", ARCHS)
+    def test_keep_none_forward_gives_the_same_gradients(self, arch):
+        """The unfolded forward the benchmark oracle runs keeps everything;
+        ``backward`` reads the same activations from it."""
+        g, p, x, labels = self.calibrated(arch)
+        runs = []
+        for keep in (None, g.train_keep):
+            step, grads = collecting_step()
+            loss = backward(g, p, forward(g, p, x, keep=keep), labels, step)
+            runs.append((loss, [(k, v.tobytes()) for k, v in grads.items()]))
+        assert runs[0] == runs[1]
+        assert len(runs[0][1]) == len(parameter_tensors(p))
+
+    @pytest.mark.parametrize("arch", ARCHS)
+    def test_a_training_step_peaks_below_a_keep_everything_step(self, arch):
+        """A keep-everything step holds every chain's bn output through the
+        backward; a training step never holds them all at once."""
+        g, p, x, labels = self.calibrated(arch)
+        bn_bytes = sum(g.shapes[bn].size * x.n * 4 for bn, _ in g.chains.values())
+        peaks = []
+        for keep in (None, g.train_keep):
+            tracemalloc.start()
+            try:
+                backward(g, p, forward(g, p, x, keep=keep), labels, lambda par, grad: None)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] - peaks[1] >= bn_bytes
+
+
 def count_calls(monkeypatch, targets):
     """Spy on each (module, name): a list of every call's args and kwargs."""
     calls = {name: [] for _, name in targets}
