@@ -12,9 +12,11 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
+from . import ops
 from .graph import (
     SITES_4B,
     WIDTH_TABLE,
@@ -115,6 +117,21 @@ def analyze(g: ModuleGraph, include_bn_params: bool = False) -> CostReport:
     """The one cost report: per-row parameters and FLOPs of ``g`` at its own
     input.  To cost another input, build the network at that input."""
     return _to_report(g, _layer_costs(g, include_bn_params))
+
+
+def largest_tile(g: ModuleGraph, batch: int) -> tuple[int, str]:
+    """The largest float64 workspace, in bytes, that one conv lowering tile
+    (``ops._time_tiles``) of a forward over ``batch`` clips holds, and the
+    id of its conv.  It runs no conv."""
+    return max(
+        (ops._site_bytes(layer.params, batch) * math.prod(tile.dims), layer.id)
+        for layer in g.layers
+        if layer.kind == "conv"
+        for tile in ops._time_tiles(
+            layer.params,
+            g.shapes[g.ports[layer.inputs[0]][0]]._replace(n=batch, c=layer.params.in_channels),
+        )
+    )
 
 
 def module_cost(

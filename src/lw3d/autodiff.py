@@ -35,7 +35,7 @@ def conv3d_backward(
     time, on one patch matrix for the whole batch and every group: ``gw``
     accumulates each clip's stacked ``gmat @ cols.T`` in clip order, and
     one stacked ``w.T @ gmat`` gives the tile's ``gcols``, added into the
-    input steps it came from.  A tile's ``cols`` is freed before its
+    input sites it came from.  A tile's ``cols`` is freed before its
     ``gcols`` exists, and its ``gcols`` before the next tile's ``cols``."""
     gx = np.zeros(x.shape, COMPUTE)
     return gx, _conv_grads(x, spec, weights, gout, gx)
@@ -62,7 +62,8 @@ def _conv_grads(x: Tensor5D, spec: Conv3DSpec, weights, gout, gx) -> np.ndarray:
     g = np.asarray(gout, dtype=COMPUTE).reshape(out_shape)
     gw = np.zeros(wmat.shape, COMPUTE)
     for plan in ops._time_tiles(spec, x.shape):
-        gmat = g[:, :, plan.ts].reshape(x.n, *wmat.shape[:2], -1)  # a view, not a copy
+        # a view, or a copy of the tile's output gradient when it cuts rows
+        gmat = g[plan.sites].reshape(x.n, *wmat.shape[:2], -1)
         cols = ops._im2col(x.data, plan).reshape(x.n, spec.groups, wmat.shape[2], -1)
         # clip by clip: one GEMM over the batch would regroup gw's sums
         for i in range(x.n):

@@ -18,7 +18,7 @@ import time
 
 import numpy as np
 
-from . import analysis, autodiff, dataio, fusion, gradcheck, graph
+from . import analysis, autodiff, dataio, fusion, gradcheck, graph, ops
 from .tensor import Shape5, Tensor5D
 
 EXIT_USAGE = 1
@@ -353,6 +353,11 @@ def cmd_bench(args) -> int:
     finally:
         tracemalloc.stop()
     print(f"traced peak {peak / 2**20:.1f} MiB")
+    tile, conv = analysis.largest_tile(g, args.batch)
+    print(
+        f"largest conv tile {tile / 2**20:.1f} MiB ({conv}); "
+        f"TILE_BYTES {ops.TILE_BYTES / 2**20:.1f} MiB"
+    )
     return 0
 
 

@@ -19,11 +19,12 @@ the tap plan of a one-axis window (``_axis_plans``).  They work on
 ``_POOL_BLOCK_BYTES``, so their workspace does not grow with the input.
 
 The lowering never holds a whole patch matrix.  ``_time_tiles`` cuts the
-output time axis into tiles whose float64 workspace fits ``TILE_BYTES``
-(16 MB); each tile lowers only the input steps it reads, for the whole batch
-and every group in one patch matrix, multiplies and stores its output slice.
-The forward and ``autodiff.conv3d_backward`` share that one plan, and each
-frees a tile's arrays before it builds the next.
+output into tiles whose float64 workspace fits ``TILE_BYTES`` (12 MiB): runs
+of output time steps, or, when one step is larger than that, one step and a
+run of output rows.  Each tile lowers only the input slab it reads, for the
+whole batch and every group in one patch matrix, multiplies and stores its
+output block.  The forward and ``autodiff.conv3d_backward`` share that one
+plan, and each frees a tile's arrays before it builds the next.
 
 ``COMPUTE`` is the one owner of the accumulation dtype: patch matrices, avg
 pooling, batch norm, softmax and every gradient in ``autodiff`` use it.  The
@@ -51,8 +52,8 @@ COMPUTE = np.float64
 # weak scalars
 BN_EPS = 1e-5
 # the float64 workspace one conv lowering tile may hold; a tile takes at
-# least one output time step, however wide
-TILE_BYTES = 16 * 2**20
+# least one output row, however wide
+TILE_BYTES = 12 * 2**20
 # the input one block of max-pooling rows may hold; a block takes at least
 # one (n, c) row, and its maxima, tap indices and winners take a few times
 # that (``pool3d``, ``autodiff.pool3d_backward``)
@@ -150,43 +151,71 @@ class MacCounter:
 
 
 class TapPlan(NamedTuple):
-    """Where a window's taps read an unpadded input, for the output steps
-    ``ts`` (extent ``dims``).  ``taps`` holds ``(k, region, source)`` for
-    each tap, in layout order, that reads any input: ``region`` indexes the
-    output sites whose inputs exist and ``source`` the strided input view
-    they read, both over the trailing (t, h, w) axes.  Every other site of a
-    tap is padding, which the plan does not list: a patch matrix starts at
-    zero, and pooling starts from its identity."""
+    """Where a window's taps read an unpadded input, for the block of output
+    sites ``sites`` (extent ``dims``), which reads the input ``slab``; both
+    index the trailing (t, h, w) axes.  ``taps`` holds ``(k, region,
+    source)`` for each tap, in layout order, that reads any input:
+    ``region`` indexes the block's sites whose inputs exist and ``source``
+    the strided view of the slab they read.  Every other site of a tap is
+    padding, which the plan does not list: a patch matrix starts at zero,
+    and pooling starts from its identity.  A block of the whole output reads
+    a slab that starts at the input's first site, so its sources index the
+    input itself."""
 
-    ts: slice
+    sites: tuple
+    slab: tuple
     dims: Triple
     kernel: Triple
     taps: tuple
 
 
-@functools.lru_cache(maxsize=1024)
-def _tap_plan(window, x_dims: Triple, t0: int, t1: int) -> TapPlan:
+def _tap_plan(
+    window, x_dims: Triple, t0: int, t1: int, h0: int = 0, h1: int | None = None
+) -> TapPlan:
     """The ``TapPlan`` of a conv or pool window over an input of extent
-    ``x_dims``, for output time steps ``t0`` to ``t1``."""
+    ``x_dims``, for output time steps ``t0`` to ``t1``, rows ``h0`` to
+    ``h1`` (to the last if None) and every column."""
+    sites, slab, lead, extent = [], [], [], []
+    for o0, o1, s, p, k, st in zip(
+        (t0, h0, 0), (t1, h1, None), x_dims, window.padding, window.kernel, window.stride
+    ):
+        if o1 is None:
+            o1 = (s + 2 * p - k) // st + 1
+        # the inputs the outputs o0 to o1 read, clipped to the input
+        i0 = min(max(o0 * st - p, 0), s)
+        i1 = max(min((o1 - 1) * st - p + k, s), i0)
+        sites.append(slice(o0, o1))
+        slab.append(slice(i0, i1))
+        lead.append(p + i0 - o0 * st)
+        extent.append(i1 - i0)
+    dims = tuple(o.stop - o.start for o in sites)
+    taps = _slab_taps(window.kernel, window.stride, tuple(lead), tuple(extent), dims)
+    return TapPlan((..., *sites), (..., *slab), dims, window.kernel, taps)
+
+
+@functools.lru_cache(maxsize=1024)
+def _slab_taps(kernel: Triple, stride: Triple, lead: Triple, extent: Triple, dims: Triple):
+    """``TapPlan.taps`` for ``dims`` output sites over a slab of extent
+    ``extent`` whose first site sits ``lead`` sites into the padded input.
+    It does not depend on where the block sits, so equal interior tiles
+    share one entry, and the cache does not grow with the tile count."""
     # per axis and kernel offset: the output sites whose input o*st + d - p
-    # lies in [0, s), relative to the tile, and the input steps they read
-    axes, dims = [], []
-    for a, (s, p, k, st) in enumerate(zip(x_dims, window.padding, window.kernel, window.stride)):
-        o0, o1 = (t0, t1) if a == 0 else (0, (s + 2 * p - k) // st + 1)
-        dims.append(o1 - o0)
+    # lies in the slab [0, s), and the slab sites they read
+    axes = []
+    for s, p, k, st, o in zip(extent, lead, kernel, stride, dims):
         offsets = []
         for d in range(k):
-            lo = min(max(o0, -((d - p) // st)), o1)
-            hi = max(min(o1, (s - 1 + p - d) // st + 1), lo)
+            lo = min(max(0, -((d - p) // st)), o)
+            hi = max(min(o, (s - 1 + p - d) // st + 1), lo)
             i0 = lo * st + d - p
-            offsets.append((slice(lo - o0, hi - o0), slice(i0, i0 + (hi - lo) * st, st)))
+            offsets.append((slice(lo, hi), slice(i0, i0 + (hi - lo) * st, st)))
         axes.append(offsets)
     taps = []
     for k, parts in enumerate(itertools.product(*axes)):
         region, source = zip(*parts)
         if all(r.start < r.stop for r in region):
             taps.append((k, (..., *region), (..., *source)))
-    return TapPlan(slice(t0, t1), tuple(dims), window.kernel, tuple(taps))
+    return tuple(taps)
 
 
 def conv3d_direct(
@@ -217,33 +246,64 @@ def conv3d_direct(
 def _im2col(x: np.ndarray, plan: TapPlan) -> np.ndarray:
     """(n, c*kvol, L) patch matrix of one ``plan`` tile of the unpadded input
     ``x``.  It starts at zero and only each tap's in-range region is copied
-    from its view, so the padding sites stay zero."""
+    from its view of the tile's slab, so the padding sites stay zero."""
     n, c = x.shape[:2]
+    slab = x[plan.slab]
     cols = np.zeros((n, c, math.prod(plan.kernel), *plan.dims), COMPUTE)
     for k, region, source in plan.taps:
-        cols[:, :, k][region] = x[source]
+        cols[:, :, k][region] = slab[source]
     return cols.reshape(n, -1, math.prod(plan.dims))
 
 
 def _col2im(gx: np.ndarray, plan: TapPlan, part):
     """Transpose of ``_im2col``: add ``part(k, region)``, the k-th tap's
     gradient at the sites of ``region``, into the unpadded input gradient
-    ``gx`` in place.  Padding sites get nothing."""
+    ``gx`` in place, through its view of the tile's slab.  Padding sites get
+    nothing."""
+    slab = gx[plan.slab]
     for k, region, source in plan.taps:
-        gx[source] += part(k, region)
+        slab[source] += part(k, region)
 
 
-def _time_tiles(spec: Conv3DSpec, x: Shape5) -> list[TapPlan]:
+def _site_bytes(spec: Conv3DSpec, n: int) -> int:
+    """Float64 workspace of one output site of a conv lowering tile for a
+    batch of ``n``: a column of the batch's patch matrix over every group (or
+    of its gradient, never both) and the product's values (or the output
+    gradient's)."""
+    values = n * (spec.in_channels * math.prod(spec.kernel) + spec.out_channels)
+    return values * np.dtype(COMPUTE).itemsize
+
+
+def _time_tiles(spec: Conv3DSpec, x: Shape5) -> tuple[TapPlan, ...]:
     """The conv lowering's one tile plan, which the forward and
-    ``autodiff.conv3d_backward`` share: the ``TapPlan`` of each run of
-    output time steps.  Per output site a tile holds a column of the whole
-    batch's patch matrix over every group (or of its gradient, never both)
-    and the product's values; a tile takes as many steps as keep that within
-    ``TILE_BYTES``, and at least one."""
+    ``autodiff.conv3d_backward`` share: the ``TapPlan`` of each tile, in
+    (t, h) order.  A tile takes as many whole output time steps as keep its
+    workspace (``_site_bytes`` per site) within ``TILE_BYTES``; when one
+    step is larger, it takes one step and as many output rows, and at least
+    one.  Each axis is cut into the fewest tiles that fit, as even as that
+    allows: a last tile of a few rows would save nothing."""
+    return _tile_plan(spec, x, TILE_BYTES)
+
+
+@functools.lru_cache(maxsize=256)
+def _tile_plan(spec: Conv3DSpec, x: Shape5, budget: int) -> tuple[TapPlan, ...]:
+    """``_time_tiles`` under the workspace ``budget``, kept per conv and
+    input shape: a training step or a forward lowers every conv again."""
     ot, oh, ow = _window_dims(spec, x, "conv")
-    per_site = x.n * (spec.in_channels * math.prod(spec.kernel) + spec.out_channels)
-    step = max(1, TILE_BYTES // (per_site * oh * ow * np.dtype(COMPUTE).itemsize))
-    return [_tap_plan(spec, x[2:], t0, min(t0 + step, ot)) for t0 in range(0, ot, step)]
+    rows = max(1, budget // (_site_bytes(spec, x.n) * ow))
+    steps, rows = (rows // oh, oh) if rows >= oh else (1, rows)
+    return tuple(
+        _tap_plan(spec, x[2:], t0, t1, h0, h1)
+        for t0, t1 in _runs(ot, steps)
+        for h0, h1 in _runs(oh, rows)
+    )
+
+
+def _runs(extent: int, most: int) -> list[tuple[int, int]]:
+    """The fewest runs of at most ``most`` that cover ``range(extent)``,
+    each as long as the first but the last."""
+    step = -(-extent // -(-extent // most))
+    return [(a, min(a + step, extent)) for a in range(0, extent, step)]
 
 
 def conv3d_lowered(
@@ -268,7 +328,7 @@ def conv3d_lowered(
     for plan in _time_tiles(spec, x.shape):
         # rows run channel by channel, so group g's block is its own patch matrix
         cols = _im2col(x.data, plan).reshape(x.n, spec.groups, wmat.shape[2], -1)
-        out[:, :, plan.ts] = (wmat @ cols).reshape(x.n, spec.out_channels, *plan.dims)
+        out[plan.sites] = (wmat @ cols).reshape(x.n, spec.out_channels, *plan.dims)
         del cols  # freed before the next _im2col allocates
     if counter is not None:
         counter.macs += spec.macs(out_shape)

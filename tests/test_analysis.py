@@ -2,6 +2,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from lw3d.analysis import (
     format_millions,
     module_cost,
 )
-from lw3d.graph import WIDTH_TABLE, build_network
+from lw3d.graph import ARCHS, WIDTH_TABLE, build_network
 from lw3d.ops import MacCounter
 from lw3d.tensor import Shape5, Tensor5D
 
@@ -189,6 +190,102 @@ class TestAnalyzerMatchesExecutor:
         assert static.total_flops + sum(
             r.flops for r in static.rows if r.key == "classifier"
         ) >= counter.macs
+
+
+def conv_inputs(g, batch):
+    """Each conv of ``g`` with the input shape a forward over ``batch``
+    clips gives it."""
+    for layer in g.layers:
+        if layer.kind == "conv":
+            x = g.shapes[g.ports[layer.inputs[0]][0]]
+            yield layer, x._replace(n=batch, c=layer.params.in_channels)
+
+
+def tile_bytes(spec, x, dims) -> int:
+    """Float64 workspace of a lowering tile of extent ``dims``: per output
+    site, a column of the batch's patch matrix and the product's values."""
+    per_site = x.n * (spec.in_channels * math.prod(spec.kernel) + spec.out_channels)
+    return per_site * math.prod(dims) * np.dtype(ops.COMPUTE).itemsize
+
+
+class TestTilePlan:
+    """``ops._time_tiles`` bounds every conv's lowering workspace at any
+    input, from the plan alone: no conv runs here."""
+
+    # (input, batch, width) of the paper's cost claim and of the three
+    # benchmark workloads: train-dense, train-toy and infer-2stream's two
+    # streams
+    SHAPES = [
+        ("3x32x224x224", 1, 1.0), ("3x32x224x224", 4, 1.0), ("3x16x64x64", 2, 1.0),
+        ("3x8x32x32", 4, 0.125), ("3x16x112x112", 1, 1.0), ("1x16x112x112", 1, 1.0),
+    ]
+
+    @pytest.mark.parametrize("shape,batch,width", SHAPES)
+    @pytest.mark.parametrize("arch", ARCHS)
+    def test_every_tile_fits_the_budget_and_the_tiles_cover_the_output(
+        self, arch, shape, batch, width
+    ):
+        """A tile fits ``TILE_BYTES`` unless it is one output row that alone
+        does not, each axis takes the fewest tiles that fit, and the tiles
+        cover every output site once."""
+        c, t, h, w = map(int, shape.split("x"))
+        g = build_network(arch, Shape5(1, c, t, h, w), 4, width)
+        largest = 0
+        for layer, x in conv_inputs(g, batch):
+            spec = layer.params
+            out = spec.output_shape(x)
+            tiles = ops._time_tiles(spec, x)
+            row = tile_bytes(spec, x, (1, 1, out.w))
+            cover = np.zeros(out[2:], int)
+            for tile in tiles:
+                size = tile_bytes(spec, x, tile.dims)
+                assert size <= ops.TILE_BYTES or (tile.dims[:2] == (1, 1) and size == row)
+                cover[tile.sites] += 1
+                largest = max(largest, size)
+            assert (cover == 1).all(), layer.id
+            # the fewest tiles per axis, and no tile longer than an even cut
+            step = row * out.h
+            if step <= ops.TILE_BYTES:
+                runs, extent, axis = len(tiles), out.t, 0
+                assert runs == -(-out.t // (ops.TILE_BYTES // step))
+            else:
+                runs, extent, axis = len(tiles) // out.t, out.h, 1
+                assert runs == -(-out.h // max(1, ops.TILE_BYTES // row))
+            assert max(tile.dims[axis] for tile in tiles) == -(-extent // runs)
+        assert analysis.largest_tile(g, batch)[0] == largest
+
+    def test_equal_tiles_share_one_tap_plan(self):
+        """Tiles read their taps relative to the input slab they read, so
+        the tap plans of i3d's ``conv1`` at the paper's shape do not grow
+        with its hundreds of row tiles, and building its plan again adds no
+        miss."""
+        g = build_network("i3d", CANONICAL)
+        layer, x = next(conv_inputs(g, 4))
+        ops._tile_plan.cache_clear()
+        tiles = ops._time_tiles(layer.params, x)
+        shared = {id(tile.taps) for tile in tiles}
+        assert len(tiles) > 500 and len(shared) < 30
+        misses = ops._slab_taps.cache_info().misses
+        ops._tile_plan.cache_clear()
+        assert ops._time_tiles(layer.params, x) == tiles
+        assert ops._slab_taps.cache_info().misses == misses
+
+    def test_a_second_forward_at_the_papers_shape_adds_no_plan_miss(self):
+        """At ``bench``'s default batch of 4, i3d's tile plans and their
+        taps fit their caches, so a second walk of every conv's tiles, as a
+        second forward makes, builds nothing."""
+        g = build_network("i3d", CANONICAL)
+        convs = list(conv_inputs(g, 4))
+
+        def walk():
+            for layer, x in convs:
+                ops._time_tiles(layer.params, x)
+            return ops._tile_plan.cache_info(), ops._slab_taps.cache_info()
+
+        walk()
+        (plans, taps), (plans2, taps2) = walk(), walk()
+        assert (plans2.misses, taps2.misses) == (plans.misses, taps.misses)
+        assert taps.currsize < taps.maxsize and plans.currsize < plans.maxsize
 
 
 class TestFactorizationComparator:

@@ -327,7 +327,7 @@ class TestOperatorGradients:
         x = Tensor5D(rng.standard_normal((2, spec.in_channels, 5, 6, 7)))
         w = rng.standard_normal(spec.weight_shape).astype(np.float32)
         gout = rng.standard_normal(tuple(spec.output_shape(x.shape)))
-        monkeypatch.setattr(ops, "TILE_BYTES", 1)  # a tile per output step
+        monkeypatch.setattr(ops, "TILE_BYTES", 1)  # a tile per output row
         _, gw = autodiff.conv3d_backward(x, spec, w, gout)
         calls = count_calls(monkeypatch, [(ops, "_col2im")])
         assert autodiff.conv3d_weight_grad(x, spec, w, gout).tobytes() == gw.tobytes()
@@ -575,7 +575,7 @@ class TestBenchmarkHooks:
         """The ``(batch, channels)`` and tile of each ``ops._im2col`` call
         ``run()`` makes, and its one ``ops._time_tiles`` request (arguments
         and plan), on a 2-group conv over 2 clips of 4 channels whose 3
-        output steps each take a tile of their own."""
+        output steps of 4 rows each take a tile per row."""
         real_im2col, real_tiles = ops._im2col, ops._time_tiles
         patches, requests = [], []
 
@@ -594,7 +594,7 @@ class TestBenchmarkHooks:
             mp.setattr(ops, "_time_tiles", tiles_spy)
             mp.setattr(ops, "TILE_BYTES", 1)
             run(x, spec, np.ones(spec.weight_shape, np.float32))
-        assert len(requests) == 1 and len(requests[0][2]) == 3
+        assert len(requests) == 1 and len(requests[0][2]) == 12
         return patches, requests[0]
 
     @staticmethod

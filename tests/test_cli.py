@@ -857,3 +857,8 @@ class TestBench:
         )
         assert code == 0
         assert re.search(r"^peak RSS \d+\.\d MB\ntraced peak \d+\.\d MiB$", out, re.M)
+        # and the static plan's largest conv lowering tile, next to the budget
+        assert re.search(
+            r"^traced peak \d+\.\d MiB\nlargest conv tile \d+\.\d MiB \([\w.]+\); "
+            r"TILE_BYTES 12\.0 MiB$", out, re.M,
+        )

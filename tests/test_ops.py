@@ -226,35 +226,42 @@ class TestConvImplementations:
 
 class TestTiledLowering:
     """The lowering works one tile of output time steps at a time, as many
-    as fit ``ops.TILE_BYTES``; the tile size must not change the result."""
+    as fit ``ops.TILE_BYTES``, or one step and a run of its rows when a step
+    does not fit; the tile size must not change the result."""
 
     @staticmethod
     def run_budgets(monkeypatch, run, out):
-        """``run()`` under a 1-byte budget (one output t per tile), a budget
-        that leaves a short last tile, and one that fits the whole matrix:
-        each budget's result by name, once every call's tile plan is checked."""
+        """``run()`` under a 1-byte budget (one output row per tile), a
+        budget that cuts each step into two runs of rows, one that cuts the
+        steps into two tiles and one that fits the whole matrix: each
+        budget's result by name, once every call's tile plan is checked
+        (as the (steps, rows) of each tile)."""
         real = ops._time_tiles
         calls, plans = [], []
 
         def spy(spec, x):
             plan = real(spec, x)
             calls.append((spec, x))
-            plans.append([tile.dims[0] for tile in plan])
+            plans.append([tile.dims[:2] for tile in plan])
             return plan
 
         monkeypatch.setattr(ops, "_time_tiles", spy)
         monkeypatch.setattr(ops, "TILE_BYTES", 1)
         results = {"one-byte": run()}
-        assert plans and all(p == [1] * out.t for p in plans)
-        # workspace bytes of one output time step, from the first call's spec:
-        # per site, a column of the whole batch's patch matrix and its product
+        assert plans and all(p == [(1, 1)] * (out.t * out.h) for p in plans)
+        # workspace bytes of one output row, from the first call's spec: per
+        # site, a column of the whole batch's patch matrix and its product
         spec, x = calls[0]
         per_site = x.n * (spec.in_channels * math.prod(spec.kernel) + spec.out_channels)
-        step = per_site * out.h * out.w * np.dtype(ops.COMPUTE).itemsize
-        for name, steps, want in (
-            ("short-last", out.t - 1, [out.t - 1, 1]), ("whole", out.t, [out.t])
+        row = per_site * out.w * np.dtype(ops.COMPUTE).itemsize
+        # the fewest tiles that fit, as even as that allows
+        h2, t2 = -(-out.h // 2), -(-out.t // 2)
+        for name, rows, want in (
+            ("rows", out.h - 1, [(1, h2), (1, out.h - h2)] * out.t),
+            ("short-last", (out.t - 1) * out.h, [(t2, out.h), (out.t - t2, out.h)]),
+            ("whole", out.t * out.h, [(out.t, out.h)]),
         ):
-            monkeypatch.setattr(ops, "TILE_BYTES", steps * step)
+            monkeypatch.setattr(ops, "TILE_BYTES", rows * row)
             plans.clear()
             results[name] = run()
             assert plans and all(p == want for p in plans)
@@ -281,11 +288,11 @@ class TestTiledLowering:
             monkeypatch, lambda: autodiff.conv3d_backward(x, spec, w, gout), out
         )
         # the forward's GEMMs reduce over the same columns in every tile
-        assert fwd["one-byte"].tobytes() == fwd["whole"].tobytes()
-        assert fwd["short-last"].tobytes() == fwd["whole"].tobytes()
+        for name in ("one-byte", "rows", "short-last"):
+            assert fwd[name].tobytes() == fwd["whole"].tobytes()
         # tiles split the weight gradient's reduction and reorder the input
         # gradient's sums where tiles overlap
-        for name in ("one-byte", "short-last"):
+        for name in ("one-byte", "rows", "short-last"):
             for got, ref in zip(bwd[name], bwd["whole"]):
                 assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
         y = ops.conv3d_direct(x, spec, w).data
@@ -304,7 +311,7 @@ class TestTiledLowering:
         """One patch matrix holds every clip and group of a tile, and one
         stacked matmul multiplies it.  Each group's block of the output and of
         both gradients must still be, bit for bit, what an ungrouped conv over
-        that group's channels gives: one 1-step tile each at a 1-byte budget,
+        that group's channels gives: one 1-row tile each at a 1-byte budget,
         one whole tile each at the default."""
         monkeypatch.setattr(ops, "TILE_BYTES", budget)
         rng = np.random.default_rng(groups)
@@ -337,6 +344,8 @@ class TestTiledLowering:
         out = spec.output_shape(x.shape)
         patch_bytes = out.size // out.c * 8 * 27 * np.dtype(ops.COMPUTE).itemsize
         assert patch_bytes >= 4 * ops.TILE_BYTES
+        # whether one output step's patch matrix alone is over the budget
+        step_over = patch_bytes // out.t > ops.TILE_BYTES
         gout = rng.standard_normal(tuple(out))
 
         used, y = traced_peak(lambda: ops.conv3d_lowered(x, spec, w))
@@ -344,6 +353,7 @@ class TestTiledLowering:
         used, (gx, gw) = traced_peak(lambda: autodiff.conv3d_backward(x, spec, w, gout))
         assert gx.shape == x.shape
         assert used < gout.nbytes + gx.nbytes + gw.nbytes + ops.TILE_BYTES
+        return step_over
 
     def test_workspace_stays_within_the_budget(self, monkeypatch):
         """Building the matrix whole, or a padded copy of the input or of its
@@ -357,24 +367,38 @@ class TestTiledLowering:
         would put two or more steps in it and fail this."""
         self.check_workspace(monkeypatch, batch=3, groups=2, hw=10)
 
+    @pytest.mark.parametrize("batch,groups", [(1, 1), (2, 2)])
+    def test_workspace_stays_within_the_budget_when_one_step_does_not_fit(
+        self, monkeypatch, batch, groups
+    ):
+        """At 32x32 sites one output step is over the budget, so a tile
+        takes one step and a run of its rows; a tile of one whole step fails
+        this."""
+        assert self.check_workspace(monkeypatch, batch=batch, groups=groups, hw=32)
+
 
 def padded(a: np.ndarray, padding, value=0.0) -> np.ndarray:
     return np.pad(a, [(0, 0), (0, 0), *((p, p) for p in padding)], constant_values=value)
 
 
-def tap_views(ap: np.ndarray, window, t0: int, dims):
+def tap_views(ap: np.ndarray, window, starts, dims):
     """Per kernel tap in layout order, the strided view of the padded array
-    ``ap`` that output steps ``t0`` on (extent ``dims``) read."""
+    ``ap`` that the output sites from ``starts`` on (extent ``dims``) read."""
     return [
         ap[(..., *(slice(d + o * s, d + (o + n) * s, s)
-                   for d, o, n, s in zip(tap, (t0, 0, 0), dims, window.stride)))]
+                   for d, o, n, s in zip(tap, starts, dims, window.stride)))]
         for tap in itertools.product(*map(range, window.kernel))
     ]
 
 
+def tile_starts(tile) -> tuple[int, int, int]:
+    """The first output site of one ``ops._time_tiles`` tile, per axis."""
+    return tuple(s.start for s in tile.sites[-3:])
+
+
 def padded_cols(ap: np.ndarray, spec: Conv3DSpec, tile) -> np.ndarray:
     """The patch matrix of one ``ops._time_tiles`` tile of the padded ``ap``."""
-    views = tap_views(ap, spec, tile.ts.start, tile.dims)
+    views = tap_views(ap, spec, tile_starts(tile), tile.dims)
     return np.stack(views, axis=2).astype(ops.COMPUTE).reshape(len(ap), -1, math.prod(tile.dims))
 
 
@@ -390,7 +414,7 @@ def padded_conv(x: np.ndarray, spec: Conv3DSpec, w: np.ndarray) -> np.ndarray:
         for g in range(spec.groups):
             cs, os_ = slice(g * cg, (g + 1) * cg), slice(g * og, (g + 1) * og)
             cols = padded_cols(xp[:, cs], spec, tile)
-            y[:, os_, tile.ts] = (w[os_].reshape(og, -1) @ cols).reshape(n, og, *tile.dims)
+            y[:, os_][tile.sites] = (w[os_].reshape(og, -1) @ cols).reshape(n, og, *tile.dims)
     return y
 
 
@@ -409,10 +433,11 @@ def padded_conv_backward(x, spec, w, gout):
             cs, os_ = slice(g * cg, (g + 1) * cg), slice(g * og, (g + 1) * og)
             for i in range(x.shape[0]):
                 cols = padded_cols(xp[i : i + 1, cs], spec, tile)[0]
-                gmat = gout[i, os_, tile.ts].reshape(og, -1)
+                gmat = gout[i, os_][tile.sites].reshape(og, -1)
                 gw[os_] += gmat @ cols.T
                 gcols = (w[os_].reshape(og, -1).T @ gmat).reshape(cg, -1, *tile.dims)
-                for k, view in enumerate(tap_views(gxp[i, cs], spec, tile.ts.start, tile.dims)):
+                for k, view in enumerate(tap_views(gxp[i, cs], spec, tile_starts(tile),
+                                                   tile.dims)):
                     view += gcols[:, k]
     return unpadded(gxp, spec.padding, x.shape), gw.reshape(spec.weight_shape)
 
@@ -427,9 +452,9 @@ def padded_pool(x: np.ndarray, spec: PoolSpec, gout: np.ndarray):
     dims = (out.t, out.h, out.w)
     fill = -np.inf if spec.kind == "max" else 0.0
     xp = padded(x, spec.padding, fill)
-    views = tap_views(xp, spec, 0, dims)
+    views = tap_views(xp, spec, (0, 0, 0), dims)
     gxp = np.zeros(xp.shape)
-    gviews = tap_views(gxp, spec, 0, dims)
+    gviews = tap_views(gxp, spec, (0, 0, 0), dims)
     if spec.kind == "avg":
         y = np.zeros(out)
         for view in views:
